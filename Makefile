@@ -13,7 +13,8 @@ fmt-check:
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally.
 ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-wire bench-crawl bench-serve
 
-# 30 seconds of coverage-guided fuzzing per untrusted-input decoder.
+# 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
+# plus the secp256k1 point arithmetic against its math/big oracle.
 # Each target also replays its committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -26,6 +27,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadHello -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecodeDisconnect -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snappy
+	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 
 # The faultnet chaos suite: hostile peer taxonomy + the mixed
 # honest/hostile 215-node crawl, under the race detector.
@@ -46,11 +48,10 @@ bench-smoke:
 bench-crawl:
 	go run ./cmd/benchcrawl -out BENCH_crawl.ci.json -baseline BENCH_crawl.json
 
-# Wire-codec gate: plan codec vs reflection oracle on the
-# handshake-path messages (HELLO, STATUS, discv4 PING). Emits
-# BENCH_wire.ci.json and fails if any encode/decode direction falls
-# below a 10x allocs/op advantage, or regresses >20% in ns/op against
-# the committed BENCH_wire.json.
+# Wire-codec gate: the plan codec on the handshake-path messages
+# (HELLO, STATUS, discv4 PING). Emits BENCH_wire.ci.json and fails if
+# any encode/decode direction exceeds its committed allocs/op, or
+# regresses >20% in ns/op, against the committed BENCH_wire.json.
 bench-wire:
 	go run ./cmd/benchwire -out BENCH_wire.ci.json -baseline BENCH_wire.json
 

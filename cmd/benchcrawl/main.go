@@ -12,7 +12,6 @@
 //	           [-baseline BENCH_crawl.json] [-tolerance 0.20]
 //	           [-max-wall 60s] [-max-rss 2147483648]
 //	           [-cpuprofile cpu.prof] [-memprofile mem.prof]
-//	           [-rlp-reflect]
 //
 // With -baseline, the run compares its nodes/sec against the
 // committed figure and exits non-zero on a regression beyond the
@@ -21,9 +20,7 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the crawl
 // (allocation profiles cover the whole run; the CPU profile stops
-// before the gates run). -rlp-reflect disables the compiled RLP codec
-// plans for the run, so the two backends can be profiled against each
-// other.
+// before the gates run).
 package main
 
 import (
@@ -43,7 +40,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nodefinder"
 	"repro/internal/nodefinder/mlog"
-	"repro/internal/rlp"
 	"repro/internal/simnet"
 )
 
@@ -95,11 +91,9 @@ func main() {
 		verbose    = flag.Bool("v", false, "log progress per virtual chunk")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the crawl here")
 		memprofile = flag.String("memprofile", "", "write an allocation profile here at exit")
-		rlpReflect = flag.Bool("rlp-reflect", false, "decode/encode RLP via the reflection walker instead of compiled plans")
 	)
 	flag.Parse()
 
-	rlp.SetPlanCodec(!*rlpReflect)
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {

@@ -1,29 +1,27 @@
-// Command benchwire measures the zero-alloc wire codec against the
-// reflection walker it replaced. For each handshake-path message the
-// crawler sends or parses at volume — devp2p HELLO, eth STATUS, and
-// the discv4 PING — it benchmarks encode and decode through the
-// compiled codec plans (the default path) and through the reflection
-// oracle (rlp.OracleEncodeToBytes / rlp.OracleDecodeBytes), then
-// emits BENCH_wire.json.
+// Command benchwire measures the zero-alloc wire codec. For each
+// handshake-path message the crawler sends or parses at volume —
+// devp2p HELLO, eth STATUS, and the discv4 PING — it benchmarks
+// encode and decode through the compiled codec plans, then emits
+// BENCH_wire.json.
 //
 // Usage:
 //
 //	benchwire [-out BENCH_wire.json] [-baseline BENCH_wire.json]
-//	          [-tolerance 0.20] [-min-alloc-ratio 10]
+//	          [-tolerance 0.20]
 //
-// Two gates make the result a contract rather than a report:
+// With -baseline, two gates per message and direction make the result
+// a contract rather than a report:
 //
-//   - The in-run allocation ratio (oracle allocs/op over plan
-//     allocs/op) must reach -min-alloc-ratio for every message and
-//     direction. Allocation counts are deterministic, so this gate is
+//   - allocs/op may not exceed the committed plan_allocs_op.
+//     Allocation counts are deterministic, so this gate is
 //     machine-independent.
-//   - With -baseline, each plan-path ns/op is compared against the
-//     committed figure and the run fails on a regression beyond the
-//     tolerance (the BENCH_crawl.json pattern).
+//   - ns/op may not regress beyond the tolerance against the
+//     committed plan_ns_op (the BENCH_crawl.json pattern).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/big"
@@ -42,12 +40,8 @@ import (
 
 // Direction is one benchmarked codec direction of one message.
 type Direction struct {
-	PlanNsOp     float64 `json:"plan_ns_op"`
-	PlanAllocs   float64 `json:"plan_allocs_op"`
-	OracleNsOp   float64 `json:"oracle_ns_op"`
-	OracleAllocs float64 `json:"oracle_allocs_op"`
-	AllocRatio   float64 `json:"alloc_ratio"`
-	SpeedupX     float64 `json:"speedup_x"`
+	PlanNsOp   float64 `json:"plan_ns_op"`
+	PlanAllocs float64 `json:"plan_allocs_op"`
 }
 
 // Message is the per-message benchmark record.
@@ -67,9 +61,8 @@ type Result struct {
 func main() {
 	var (
 		out       = flag.String("out", "BENCH_wire.json", "write the result JSON here ('-' for stdout only)")
-		baseline  = flag.String("baseline", "", "compare plan ns/op against this committed result")
+		baseline  = flag.String("baseline", "", "gate allocs/op and ns/op against this committed result")
 		tolerance = flag.Float64("tolerance", 0.20, "allowed relative ns/op regression vs baseline")
-		minRatio  = flag.Float64("min-alloc-ratio", 10, "fail if oracle/plan allocs-per-op falls below this")
 	)
 	flag.Parse()
 
@@ -97,24 +90,11 @@ func main() {
 		}
 	}
 
-	failed := false
-	for _, m := range res.Messages {
-		for dir, d := range map[string]Direction{"encode": m.Encode, "decode": m.Decode} {
-			if d.AllocRatio < *minRatio {
-				fmt.Fprintf(os.Stderr, "FAIL: %s %s alloc ratio %.1fx below the %.0fx floor (plan %.1f vs oracle %.1f allocs/op)\n",
-					m.Name, dir, d.AllocRatio, *minRatio, d.PlanAllocs, d.OracleAllocs)
-				failed = true
-			}
-		}
-	}
 	if *baseline != "" {
 		if err := compareBaseline(res, *baseline, *tolerance); err != nil {
 			fmt.Fprintln(os.Stderr, "FAIL:", err)
-			failed = true
+			os.Exit(1)
 		}
-	}
-	if failed {
-		os.Exit(1)
 	}
 }
 
@@ -170,79 +150,38 @@ func benchMessage(m wireMsg) (*Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.name, err)
 	}
-	// Sanity: the two backends must agree byte-for-byte before their
-	// performance is compared.
-	oenc, err := rlp.OracleEncodeToBytes(m.val)
-	if err != nil {
-		return nil, fmt.Errorf("%s oracle: %w", m.name, err)
-	}
-	if string(enc) != string(oenc) {
-		return nil, fmt.Errorf("%s: plan and oracle encodings diverge", m.name)
-	}
 
 	rec := &Message{Name: m.name, Bytes: len(enc)}
-	rec.Encode = direction(
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rlp.EncodeToBytes(m.val); err != nil {
-					b.Fatal(err)
-				}
+	rec.Encode = direction(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rlp.EncodeToBytes(m.val); err != nil {
+				b.Fatal(err)
 			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rlp.OracleEncodeToBytes(m.val); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	dst := m.mk()
+	rec.Decode = direction(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := rlp.DecodeBytes(enc, dst); err != nil {
+				b.Fatal(err)
 			}
-		},
-	)
-	dst, odst := m.mk(), m.mk()
-	rec.Decode = direction(
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := rlp.DecodeBytes(enc, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := rlp.OracleDecodeBytes(enc, odst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-	)
+		}
+	})
 	return rec, nil
 }
 
-// direction runs the plan and oracle benchmark closures and derives
-// the comparison figures.
-func direction(plan, oracle func(*testing.B)) Direction {
-	pr := testing.Benchmark(plan)
-	or := testing.Benchmark(oracle)
-	d := Direction{
-		PlanNsOp:     float64(pr.NsPerOp()),
-		PlanAllocs:   float64(pr.AllocsPerOp()),
-		OracleNsOp:   float64(or.NsPerOp()),
-		OracleAllocs: float64(or.AllocsPerOp()),
+// direction runs one benchmark closure.
+func direction(bench func(*testing.B)) Direction {
+	r := testing.Benchmark(bench)
+	return Direction{
+		PlanNsOp:   float64(r.NsPerOp()),
+		PlanAllocs: float64(r.AllocsPerOp()),
 	}
-	// A fully allocation-free direction would divide by zero; report
-	// the oracle count as the ratio floor in that case.
-	if d.PlanAllocs > 0 {
-		d.AllocRatio = d.OracleAllocs / d.PlanAllocs
-	} else {
-		d.AllocRatio = d.OracleAllocs
-	}
-	if d.PlanNsOp > 0 {
-		d.SpeedupX = d.OracleNsOp / d.PlanNsOp
-	}
-	return d
 }
 
-// compareBaseline fails on plan-path ns/op regressions beyond tol,
-// and nudges toward a baseline refresh on improvements beyond it.
+// compareBaseline reports every direction whose allocs/op exceeds the
+// committed count or whose ns/op regresses beyond tol, and nudges
+// toward a baseline refresh on ns/op improvements beyond tol.
 func compareBaseline(res *Result, path string, tol float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -256,29 +195,37 @@ func compareBaseline(res *Result, path string, tol float64) error {
 	for _, m := range base.Messages {
 		byName[m.Name] = m
 	}
+	var errs []error
 	for _, m := range res.Messages {
 		bm, ok := byName[m.Name]
 		if !ok {
 			continue
 		}
-		for dir, pair := range map[string][2]float64{
-			"encode": {m.Encode.PlanNsOp, bm.Encode.PlanNsOp},
-			"decode": {m.Decode.PlanNsOp, bm.Decode.PlanNsOp},
+		for _, dir := range []struct {
+			name      string
+			got, want Direction
+		}{
+			{"encode", m.Encode, bm.Encode},
+			{"decode", m.Decode, bm.Decode},
 		} {
-			got, want := pair[0], pair[1]
+			if dir.got.PlanAllocs > dir.want.PlanAllocs {
+				errs = append(errs, fmt.Errorf("%s %s: %.0f allocs/op exceeds the committed %.0f",
+					m.Name, dir.name, dir.got.PlanAllocs, dir.want.PlanAllocs))
+			}
+			got, want := dir.got.PlanNsOp, dir.want.PlanNsOp
 			if want <= 0 {
 				continue
 			}
 			ratio := got / want
 			switch {
 			case ratio > 1+tol:
-				return fmt.Errorf("%s %s: %.0f ns/op is %.0f%% above baseline %.0f (tolerance %.0f%%)",
-					m.Name, dir, got, (ratio-1)*100, want, tol*100)
+				errs = append(errs, fmt.Errorf("%s %s: %.0f ns/op is %.0f%% above baseline %.0f (tolerance %.0f%%)",
+					m.Name, dir.name, got, (ratio-1)*100, want, tol*100))
 			case ratio < 1-tol:
 				fmt.Fprintf(os.Stderr, "note: %s %s %.0f ns/op beats baseline %.0f by %.0f%% — refresh BENCH_wire.json\n",
-					m.Name, dir, got, want, (1-ratio)*100)
+					m.Name, dir.name, got, want, (1-ratio)*100)
 			}
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }

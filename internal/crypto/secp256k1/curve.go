@@ -8,11 +8,11 @@
 // handshake derives its symmetric keys from secp256k1 ECDH. Point
 // arithmetic runs on a dedicated fixed-limb field implementation
 // (field.go, scalar.go) with precomputed base-point tables and
-// wNAF/Shamir multi-scalar multiplication (table.go); the original
-// math/big implementation is retained in oracle.go as a
-// differential-test reference. Neither path is constant-time and must
-// not be used to protect real funds; this package exists to drive a
-// protocol measurement stack.
+// wNAF/Shamir multi-scalar multiplication (table.go). The original
+// math/big implementation lives on in oracle_test.go as the
+// differential-test reference. The arithmetic is not constant-time
+// and must not be used to protect real funds; this package exists to
+// drive a protocol measurement stack.
 package secp256k1
 
 import (
@@ -79,7 +79,11 @@ func ScalarMult(p *Point, k *big.Int) *Point {
 	if k.Sign() == 0 || p.IsInfinity() {
 		return &Point{}
 	}
-	return active.scalarMult(p, k)
+	var s scalar
+	s.setBig(k)
+	pj := pointToJac(p)
+	j := scalarMultJac(&pj, &s)
+	return jacToPoint(&j)
 }
 
 // ScalarBaseMult returns k*G.
@@ -88,12 +92,15 @@ func ScalarBaseMult(k *big.Int) *Point {
 	if k.Sign() == 0 {
 		return &Point{}
 	}
-	return active.scalarBaseMult(k)
+	return scalarBaseMult(k)
 }
 
 // Add returns p + q in affine coordinates.
 func Add(p, q *Point) *Point {
-	return active.add(p, q)
+	pj, qj := pointToJac(p), pointToJac(q)
+	var r jacPoint
+	r.add(&pj, &qj)
+	return jacToPoint(&r)
 }
 
 // Neg returns -p.

@@ -2,13 +2,13 @@ package secp256k1
 
 // Differential tests: every operation of the fixed-limb fast path is
 // checked against independent arithmetic — math/big for field and
-// scalar ops, the retained oracleBackend for point ops. The Fuzz*
+// scalar ops, the math/big oracleBackend (oracle_test.go) for point
+// ops. The Fuzz*
 // functions are `go test -fuzz`-compatible; under plain `go test`
 // they run their seed corpus, which deliberately includes the
 // boundary values 0, 1, p−1, p, N−1, N and all-ones.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"math/big"
 	"testing"
@@ -175,33 +175,32 @@ func checkScalarPair(t *testing.T, ab, bb [32]byte) {
 func checkPointPair(t *testing.T, kb, mb [32]byte) {
 	t.Helper()
 	oracle := oracleBackend{}
-	fast := fastBackend{}
 	k := new(big.Int).Mod(new(big.Int).SetBytes(kb[:]), N)
 	m := new(big.Int).Mod(new(big.Int).SetBytes(mb[:]), N)
 
 	wantKG := oracle.scalarBaseMult(k)
-	gotKG := fast.scalarBaseMult(k)
+	gotKG := ScalarBaseMult(k)
 	if !gotKG.Equal(wantKG) {
 		t.Fatalf("scalarBaseMult(%x) mismatch", k)
 	}
 	wantMG := oracle.scalarBaseMult(m)
 
 	if !wantKG.IsInfinity() {
-		got := fast.scalarMult(wantKG, m)
+		got := ScalarMult(wantKG, m)
 		want := oracle.scalarMult(wantKG, m)
 		if !got.Equal(want) {
 			t.Errorf("scalarMult(%x·G, %x) mismatch", k, m)
 		}
 	}
 
-	got := fast.add(wantKG, wantMG)
+	got := Add(wantKG, wantMG)
 	want := oracle.add(wantKG, wantMG)
 	if !got.Equal(want) {
 		t.Errorf("add(%x·G, %x·G) mismatch", k, m)
 	}
 
 	if !wantMG.IsInfinity() {
-		got = fast.doubleScalarBaseMult(k, wantMG, m)
+		got = doubleScalarBaseMult(k, wantMG, m)
 		want = oracle.doubleScalarBaseMult(k, wantMG, m)
 		if !got.Equal(want) {
 			t.Errorf("doubleScalarBaseMult(%x, %x·G, %x) mismatch", k, m, m)
@@ -293,35 +292,59 @@ func TestWNAFReconstruction(t *testing.T) {
 	}
 }
 
-// TestSignDifferentialBackends checks that signatures produced on the
-// fast backend and on the oracle are byte-identical (RFC 6979 makes
-// signing deterministic) and cross-verify.
+// TestSignDifferentialBackends checks each signature step against the
+// math/big oracle. Signing: from the same RFC 6979 nonce k, the
+// oracle's k·G must give the signature's r and recovery id.
+// Verification and recovery: the oracle's u1·G + u2·Q must give back
+// r and the signer's key, and Verify and RecoverPubkey must agree.
 func TestSignDifferentialBackends(t *testing.T) {
-	k := testKey(t, 77)
-	hash := sha256.Sum256([]byte("differential backends"))
+	oracle := oracleBackend{}
+	mulN := func(a, b *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Mul(a, b), N) }
+	// These seeds cover folded and unfolded s with both parities.
+	for seed := int64(77); seed < 87; seed++ {
+		k := testKey(t, seed)
+		hash := sha256.Sum256([]byte{byte(seed)})
+		sig, err := Sign(k, hash[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, s := new(big.Int).SetBytes(sig[:32]), new(big.Int).SetBytes(sig[32:64])
+		z := hashToInt(hash[:])
 
-	fastSig, err := Sign(k, hash[:])
-	if err != nil {
-		t.Fatal(err)
-	}
+		// Sign: R = k·G gives r = R.x mod N and the recovery id.
+		// s = k⁻¹(z + r·d) is folded to the low half, which negates R.
+		// The first nonce yields a valid signature for these keys.
+		nonce := rfc6979Nonce(k, hash[:], 0)
+		R := oracle.scalarBaseMult(nonce)
+		wantS := mulN(new(big.Int).Add(z, mulN(r, k.D)), new(big.Int).ModInverse(nonce, N))
+		if wantS.Cmp(halfN) > 0 {
+			wantS.Sub(N, wantS)
+			R = &Point{R.X, new(big.Int).Sub(P, R.Y)}
+		}
+		wantV := byte(R.Y.Bit(0))
+		if R.X.Cmp(N) >= 0 {
+			wantV |= 2
+		}
+		if new(big.Int).Mod(R.X, N).Cmp(r) != 0 || s.Cmp(wantS) != 0 || sig[64] != wantV {
+			t.Fatalf("seed %d: sig %x, oracle gives R.x %x, s %x, v %d", seed, sig, R.X, wantS, wantV)
+		}
 
-	active = oracleBackend{}
-	defer func() { active = fastBackend{} }()
-	oracleSig, err := Sign(k, hash[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fastSig, oracleSig) {
-		t.Fatalf("fast sig %x != oracle sig %x", fastSig, oracleSig)
-	}
-	// Verify and recover the fast signature while the oracle backend
-	// is active.
-	if !Verify(&k.Pub, hash[:], fastSig) {
-		t.Error("oracle backend rejected fast signature")
-	}
-	rec, err := RecoverPubkey(hash[:], fastSig)
-	if err != nil || !rec.Equal(&k.Pub.Point) {
-		t.Errorf("oracle backend failed to recover from fast signature: %v", err)
+		// Verify: (z·s⁻¹·G + r·s⁻¹·Q).x mod N = r.
+		w := new(big.Int).ModInverse(s, N)
+		x := oracle.doubleScalarBaseMult(mulN(z, w), &k.Pub.Point, mulN(r, w)).X
+		if new(big.Int).Mod(x, N).Cmp(r) != 0 || !Verify(&k.Pub, hash[:], sig) {
+			t.Fatalf("seed %d: oracle u1·G + u2·Q gives x %x for r %x; Verify = %v",
+				seed, x, r, Verify(&k.Pub, hash[:], sig))
+		}
+
+		// Recover: −z·r⁻¹·G + s·r⁻¹·R = Q.
+		rinv := new(big.Int).ModInverse(r, N)
+		q := oracle.doubleScalarBaseMult(mulN(new(big.Int).Neg(z), rinv), R, mulN(s, rinv))
+		rec, err := RecoverPubkey(hash[:], sig)
+		if !q.Equal(&k.Pub.Point) || err != nil || !rec.Equal(q) {
+			t.Fatalf("seed %d: oracle u1·G + u2·R = %v, RecoverPubkey = %v, %v; want the signer's key",
+				seed, q, rec, err)
+		}
 	}
 }
 

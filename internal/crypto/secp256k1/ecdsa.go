@@ -24,7 +24,7 @@ func Sign(priv *PrivateKey, hash []byte) ([]byte, error) {
 	d.setBig(priv.D)
 	for attempt := 0; attempt < 100; attempt++ {
 		k := rfc6979Nonce(priv, hash, attempt)
-		rp := active.scalarBaseMult(k)
+		rp := scalarBaseMult(k)
 		var r scalar
 		r.setBig(rp.X) // rp.X < p < 2N, so this is rp.X mod N
 		if r.isZero() {
@@ -79,7 +79,7 @@ func Verify(pub *PublicKey, hash, sig []byte) bool {
 	w.inverse(&ss)
 	u1.mul(&z, &w)
 	u2.mul(&rs, &w)
-	p := active.doubleScalarBaseMult(u1.toBig(), &pub.Point, u2.toBig())
+	p := doubleScalarBaseMult(u1.toBig(), &pub.Point, u2.toBig())
 	if p.IsInfinity() {
 		return false
 	}
@@ -131,7 +131,7 @@ func RecoverPubkey(hash, sig []byte) (*PublicKey, error) {
 	u1.mul(&z, &rinv)
 	u1.neg(&u1)
 	u2.mul(&ss, &rinv)
-	q := active.doubleScalarBaseMult(u1.toBig(), rp, u2.toBig())
+	q := doubleScalarBaseMult(u1.toBig(), rp, u2.toBig())
 	if q.IsInfinity() {
 		return nil, errors.New("secp256k1: recovered point at infinity")
 	}

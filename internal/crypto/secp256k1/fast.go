@@ -2,26 +2,9 @@ package secp256k1
 
 import "math/big"
 
-// backend is the small interface separating the public API from the
-// point-arithmetic implementation. The package runs on fastBackend
-// (fixed-limb field, precomputed tables, wNAF/Shamir); oracleBackend
-// in oracle.go is the original math/big path, retained as the
-// reference for differential tests. Scalars handed to a backend must
-// already be reduced mod N.
-type backend interface {
-	scalarMult(p *Point, k *big.Int) *Point
-	scalarBaseMult(k *big.Int) *Point
-	add(p, q *Point) *Point
-	// doubleScalarBaseMult returns k1·G + k2·p in a single pass.
-	doubleScalarBaseMult(k1 *big.Int, p *Point, k2 *big.Int) *Point
-}
-
-// active is the backend behind the exported functions. Differential
-// tests swap it temporarily; nothing else writes it after init.
-var active backend = fastBackend{}
-
-// fastBackend implements backend on the fixed-limb arithmetic.
-type fastBackend struct{}
+// Conversions between the public affine Point and the fixed-limb
+// Jacobian form, and the scalar products more than one public
+// function needs. Scalars must already be reduced mod N.
 
 func pointToJac(p *Point) jacPoint {
 	if p.IsInfinity() {
@@ -42,32 +25,16 @@ func jacToPoint(j *jacPoint) *Point {
 	return &Point{X: a.x.toBig(), Y: a.y.toBig()}
 }
 
-func (fastBackend) scalarBaseMult(k *big.Int) *Point {
+// scalarBaseMult returns k·G.
+func scalarBaseMult(k *big.Int) *Point {
 	var s scalar
 	s.setBig(k)
 	j := scalarBaseMultJac(&s)
 	return jacToPoint(&j)
 }
 
-func (fastBackend) scalarMult(p *Point, k *big.Int) *Point {
-	if p.IsInfinity() {
-		return &Point{}
-	}
-	var s scalar
-	s.setBig(k)
-	pj := pointToJac(p)
-	j := scalarMultJac(&pj, &s)
-	return jacToPoint(&j)
-}
-
-func (fastBackend) add(p, q *Point) *Point {
-	pj, qj := pointToJac(p), pointToJac(q)
-	var r jacPoint
-	r.add(&pj, &qj)
-	return jacToPoint(&r)
-}
-
-func (fastBackend) doubleScalarBaseMult(k1 *big.Int, p *Point, k2 *big.Int) *Point {
+// doubleScalarBaseMult returns k1·G + k2·p in a single Shamir pass.
+func doubleScalarBaseMult(k1 *big.Int, p *Point, k2 *big.Int) *Point {
 	var s1, s2 scalar
 	s1.setBig(k1)
 	s2.setBig(k2)

@@ -184,7 +184,7 @@ func (wc *wsChecker) classifyRLPCall(f *ir.Func, call *ast.CallExpr) (enc, dec b
 		return false, false, 0
 	}
 	switch sel.Sel.Name {
-	case "EncodeToBytes", "OracleEncodeToBytes":
+	case "EncodeToBytes":
 		return true, false, 0
 	case "EncodeAppend":
 		// rlp.EncodeAppend(dst, v): the value rides in the second
@@ -194,7 +194,7 @@ func (wc *wsChecker) classifyRLPCall(f *ir.Func, call *ast.CallExpr) (enc, dec b
 		// rlp.Encode(w, v); Stream has no Encode method so package
 		// function is the only shape.
 		return true, false, 1
-	case "DecodeBytes", "DecodeFirst", "OracleDecodeBytes":
+	case "DecodeBytes", "DecodeFirst":
 		return false, true, 1
 	case "Decode":
 		if fn.Type().(*types.Signature).Recv() != nil {
@@ -510,7 +510,7 @@ func (wc *wsChecker) checkBounds(analyzer string) []Finding {
 			continue
 		}
 		switch fn.Name() {
-		case "DecodeBytes", "DecodeFirst", "OracleDecodeBytes":
+		case "DecodeBytes", "DecodeFirst":
 			buf := unparen(site.call.Args[0])
 			if !lenGuardBefore(f, buf, site.call.Pos()) {
 				findings = append(findings, Finding{

@@ -1,6 +1,7 @@
 package rlp
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"reflect"
@@ -13,8 +14,11 @@ import (
 // The op set mirrors the reflection walker's dispatch order exactly —
 // including its asymmetries, such as byte slices whose element type
 // implements Encoder encoding as lists but decoding as byte strings —
-// so the two backends are byte-for-byte interchangeable. Differential
-// fuzz targets (plan_diff_test.go) hold them to that.
+// so the plan codec stays byte-for-byte interchangeable with the
+// walker, which the differential fuzz targets (plan_diff_test.go) run
+// as their oracle. A direction a type does not support compiles to an
+// opErr node, so compilation never fails as a whole: the node returns
+// the walker's error when, and only when, a value reaches it.
 
 type op uint8
 
@@ -34,6 +38,7 @@ const (
 	opIface         // empty interface; non-empty handled by dispatch
 	opCustom        // type itself implements Encoder / *T implements Decoder
 	opCustomAddr    // encode only: *T implements Encoder, T used by value
+	opErr           // unsupported in this direction: fail with encErr/decErr
 )
 
 // plan is one node of the compiled codec program. Encode and decode
@@ -51,6 +56,8 @@ type plan struct {
 	nilByte byte // opPtr encode: 0x80 or 0xC0 for a nil pointer
 	ptrKind bool // opCustom encode: nil pointer writes an empty list
 
+	encErr, decErr error // opErr: the error for that direction
+
 	// empty is a shared zero-length slice of the plan's type, set for
 	// slice-kind opList plans. Decoding an empty list assigns it
 	// directly instead of allocating a fresh slice header per decode;
@@ -60,15 +67,14 @@ type plan struct {
 
 // planField is one RLP-visible struct field. For tail fields, p is
 // the plan of the slice *element* type (tail elements splice into the
-// enclosing list) and typ is the slice type itself.
+// enclosing list).
 type planField struct {
 	index    int
 	name     string
 	tail     bool
 	optional bool
-	typ      reflect.Type
 	p        *plan
-	empty    reflect.Value // tail only: shared zero-length slice of typ
+	empty    reflect.Value // tail only: shared zero-length slice of the field type
 }
 
 // compileCtx tracks in-progress plans so recursive types (a struct
@@ -79,27 +85,21 @@ type compileCtx struct {
 	inProgress map[reflect.Type]*plan
 }
 
-func (cc *compileCtx) compile(typ reflect.Type) (*plan, error) {
+func (cc *compileCtx) compile(typ reflect.Type) *plan {
 	if p := cc.inProgress[typ]; p != nil {
-		return p, nil
+		return p
 	}
 	p := &plan{typ: typ}
 	cc.inProgress[typ] = p
-	if err := cc.fill(p, typ); err != nil {
-		delete(cc.inProgress, typ)
-		return nil, err
-	}
-	return p, nil
+	cc.fill(p, typ)
+	return p
 }
 
 var bigIntValType = bigIntType.Elem()
 
 // fill resolves the encode and decode ops for typ and compiles any
-// child plans. Any unsupported corner returns an error, which the
-// cache records so the whole type permanently falls back to the
-// reflection walker — behavior there is identical by construction,
-// just slower.
-func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
+// child plans.
+func (cc *compileCtx) fill(p *plan, typ reflect.Type) {
 	kind := typ.Kind()
 
 	// Encode op, in the reflection walker's dispatch order.
@@ -142,11 +142,11 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 		case reflect.Interface:
 			p.encOp = opIface
 		default:
-			return fmt.Errorf("rlp: type %v is not RLP-serializable", typ)
+			p.encOp, p.encErr = opErr, fmt.Errorf("rlp: type %v is not RLP-serializable", typ)
 		}
 	}
 
-	// Decode op, mirroring Stream.decodeValue.
+	// Decode op, in the reflection walker's dispatch order.
 	switch {
 	case typ == rawValueType:
 		p.decOp = opRaw
@@ -183,37 +183,38 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 			p.decOp = opPtr
 		case reflect.Interface:
 			if typ.NumMethod() != 0 {
-				return fmt.Errorf("rlp: cannot decode into non-empty interface %v", typ)
+				p.decOp, p.decErr = opErr, fmt.Errorf("rlp: cannot decode into non-empty interface %v", typ)
+			} else {
+				p.decOp = opIface
 			}
-			p.decOp = opIface
 		default:
-			return fmt.Errorf("rlp: type %v is not RLP-deserializable", typ)
+			p.decOp, p.decErr = opErr, fmt.Errorf("rlp: type %v is not RLP-deserializable", typ)
 		}
 	}
 
 	// Children, by structural kind.
 	if p.encOp == opList || p.decOp == opList {
-		elem, err := cc.compile(typ.Elem())
-		if err != nil {
-			return err
-		}
-		p.elem = elem
+		p.elem = cc.compile(typ.Elem())
 		if p.decOp == opList && kind == reflect.Slice {
 			p.empty = reflect.MakeSlice(typ, 0, 0)
 		}
 	}
 	if p.encOp == opPtr || p.decOp == opPtr {
-		elem, err := cc.compile(typ.Elem())
-		if err != nil {
-			return err
-		}
-		p.elem = elem
+		p.elem = cc.compile(typ.Elem())
 		p.nilByte = nilPointerByte(typ.Elem())
 	}
 	if p.encOp == opStruct || p.decOp == opStruct {
 		infos, err := structFields(typ)
 		if err != nil {
-			return err
+			// Both walker directions read the tags first, so a tag
+			// error fails whichever direction is the struct op.
+			if p.encOp == opStruct {
+				p.encOp, p.encErr = opErr, err
+			}
+			if p.decOp == opStruct {
+				p.decOp, p.decErr = opErr, err
+			}
+			return
 		}
 		p.fields = make([]planField, 0, len(infos))
 		for _, fi := range infos {
@@ -222,17 +223,12 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 			if fi.tail {
 				ctyp = ftyp.Elem()
 			}
-			fp, err := cc.compile(ctyp)
-			if err != nil {
-				return err
-			}
 			pf := planField{
 				index:    fi.index,
 				name:     fi.name,
 				tail:     fi.tail,
 				optional: fi.optional,
-				typ:      ftyp,
-				p:        fp,
+				p:        cc.compile(ctyp),
 			}
 			if fi.tail {
 				pf.empty = reflect.MakeSlice(ftyp, 0, 0)
@@ -240,17 +236,16 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 			p.fields = append(p.fields, pf)
 		}
 	}
-	return nil
 }
 
 // bigWordBytes is the byte width of a big.Word on this platform.
 const bigWordBytes = (32 << (uint64(^big.Word(0)) >> 63)) / 8
 
-// writeBigIntFast is writeBigInt without the i.Bytes() allocation for
-// integers wider than 64 bits: the words are serialized big-endian
-// straight into the buffer's string data. Output bytes are identical
-// to writeBigInt (the differential fuzz targets hold both backends to
-// that); only the reflection oracle keeps the allocating form.
+// writeBigIntFast writes an integer without the i.Bytes() allocation
+// for integers wider than 64 bits: the words are serialized big-endian
+// straight into the buffer's string data. The reflection oracle's
+// writeBigInt keeps the allocating form, and the differential fuzz
+// targets hold the two to identical bytes.
 func (buf *encBuffer) writeBigIntFast(i *big.Int) error {
 	if i == nil {
 		buf.writeByte(0x80)
@@ -282,8 +277,9 @@ func (buf *encBuffer) writeBigIntFast(i *big.Int) error {
 	return nil
 }
 
-// nilPointerByte is encodeNilPointer as data: the empty value written
-// for a nil pointer of the given element type.
+// nilPointerByte is the empty value written for a nil pointer of the
+// given element type: an empty list for list-like types, an empty
+// string otherwise.
 func nilPointerByte(elem reflect.Type) byte {
 	switch {
 	case elem.Kind() == reflect.Struct && elem != bigIntValType:
@@ -298,19 +294,15 @@ func nilPointerByte(elem reflect.Type) byte {
 }
 
 // encodeValue is the codec entry point used by Encode/EncodeToBytes/
-// EncodeAppend: the compiled plan when the backend is enabled and the
-// type compiles, the reflection walker otherwise.
+// EncodeAppend, and by interface values met during an encode.
 func (buf *encBuffer) encodeValue(v reflect.Value) error {
-	if PlanCodecEnabled() && v.IsValid() {
-		if p, err := cachedPlan(v.Type()); err == nil {
-			return buf.encodePlan(p, v)
-		}
+	if !v.IsValid() {
+		return errors.New("rlp: cannot encode nil interface value")
 	}
-	return buf.encode(v)
+	return buf.encodePlan(cachedPlan(v.Type()), v)
 }
 
-// encodePlan executes the encode side of a compiled plan against v,
-// writing into buf exactly what the reflection walker would.
+// encodePlan executes the encode side of a compiled plan against v.
 func (buf *encBuffer) encodePlan(p *plan, v reflect.Value) error {
 	if buf.depth > maxEncodeDepth {
 		return fmt.Errorf("rlp: encode nesting exceeds %d levels", maxEncodeDepth)
@@ -430,11 +422,12 @@ func (buf *encBuffer) encodePlan(p *plan, v reflect.Value) error {
 		return buf.encodePlan(p.elem, v.Elem())
 
 	case opIface:
-		if v.IsNil() {
-			return fmt.Errorf("rlp: cannot encode nil interface value")
-		}
-		// Dynamic re-dispatch on the concrete type.
+		// Dynamic re-dispatch on the concrete type; a nil interface
+		// has none and fails in encodeValue.
 		return buf.encodeValue(v.Elem())
+
+	case opErr:
+		return p.encErr
 
 	default:
 		return fmt.Errorf("rlp: internal: no encode op for %v", p.typ)

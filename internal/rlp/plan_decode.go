@@ -13,7 +13,8 @@ import (
 // chain, so decoding allocates nothing beyond the decoded values
 // themselves.
 //
-// Error parity with Stream is part of the contract (decode_test.go
+// Error parity with the Stream primitives and the reflection walker
+// they drive (the test oracle) is part of the contract (decode_test.go
 // pins sentinels via errors.Is): EOL inside an exhausted list, io.EOF
 // at an exhausted top level, ErrElemTooLarge when a value overruns
 // its enclosing list (checked before the input-limit condition, like
@@ -291,6 +292,9 @@ func (d *byteDec) decode(p *plan, v reflect.Value, end int, inList bool) error {
 	case opIface:
 		return d.decodeIface(v, end, inList)
 
+	case opErr:
+		return p.decErr
+
 	default:
 		return fmt.Errorf("rlp: internal: no decode op for %v", p.typ)
 	}
@@ -362,44 +366,60 @@ func (d *byteDec) decodeSlice(p *plan, v reflect.Value, end int, inList bool) er
 	if kind != List {
 		return wrapTypeError(ErrExpectedList, p.typ)
 	}
-	lend := d.pos + size
 	d.depth++
-	if n, cntErr := CountValues(d.in[d.pos:lend]); cntErr == nil {
-		if n == 0 {
-			v.Set(p.empty)
-		} else {
-			// Exact pre-count: zero the destination (the walker never
-			// reuses old backing), then one Grow allocation with the
-			// elements decoded in place. On an element error the
-			// destination may hold partial data, like struct fields.
-			v.SetZero()
-			v.Grow(n)
-			v.SetLen(n)
-			for i := 0; i < n; i++ {
-				if err := d.decode(p.elem, v.Index(i), lend, true); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		// Malformed element header somewhere in the list: take the
-		// append path so the element decode surfaces the precise
-		// error the reflection walker reports.
-		out := reflect.MakeSlice(p.typ, 0, 4)
-		for {
-			elem := reflect.New(p.typ.Elem()).Elem()
-			err := d.decode(p.elem, elem, lend, true)
-			if err == EOL {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			out = reflect.Append(out, elem)
-		}
-		v.Set(out)
+	if err := d.decodeElems(p.elem, p.empty, v, d.pos+size); err != nil {
+		return err
 	}
 	d.depth--
+	return nil
+}
+
+// decodeElems fills the slice v with the list elements up to lend;
+// empty is the shared zero-length slice of v's type. Like the
+// reflection walker, element errors propagate without wrapping, and an
+// empty list still sets a non-nil slice.
+func (d *byteDec) decodeElems(elem *plan, empty, v reflect.Value, lend int) error {
+	if n, cntErr := CountValues(d.in[d.pos:lend]); cntErr == nil {
+		if n == 0 {
+			if elem.decOp == opErr {
+				// The walker tries an element before it looks for the
+				// list end, so an undecodable element type fails even
+				// an empty list.
+				return d.decode(elem, v, lend, true)
+			}
+			v.Set(empty)
+			return nil
+		}
+		// Exact pre-count: zero the destination (the walker never
+		// reuses old backing), then one Grow allocation with the
+		// elements decoded in place. On an element error the
+		// destination may hold partial data, like struct fields.
+		v.SetZero()
+		v.Grow(n)
+		v.SetLen(n)
+		for i := 0; i < n; i++ {
+			if err := d.decode(elem, v.Index(i), lend, true); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Malformed element header somewhere in the list: take the append
+	// path so the element decode surfaces the precise error the
+	// reflection walker reports.
+	out := reflect.MakeSlice(v.Type(), 0, 4)
+	for {
+		ev := reflect.New(v.Type().Elem()).Elem()
+		err := d.decode(elem, ev, lend, true)
+		if err == EOL {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		out = reflect.Append(out, ev)
+	}
+	v.Set(out)
 	return nil
 }
 
@@ -415,10 +435,14 @@ func (d *byteDec) decodeArray(p *plan, v reflect.Value, end int, inList bool) er
 	d.depth++
 	n := v.Len()
 	for i := 0; i < n; i++ {
-		if d.pos >= lend {
+		// As in the walker, the element decode runs first and reports
+		// the list end as EOL, so an undecodable element type fails
+		// with its own error.
+		err := d.decode(p.elem, v.Index(i), lend, true)
+		if err == EOL {
 			return fmt.Errorf("rlp: list has %d elements, want %d for %v", i, n, p.typ)
 		}
-		if err := d.decode(p.elem, v.Index(i), lend, true); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -442,7 +466,7 @@ func (d *byteDec) decodeStruct(p *plan, v reflect.Value, end int, inList bool) e
 	for _, f := range p.fields {
 		fv := v.Field(f.index)
 		if f.tail {
-			if err := d.decodeTail(f, fv, lend); err != nil {
+			if err := d.decodeElems(f.p, f.empty, fv, lend); err != nil {
 				return err
 			}
 			continue
@@ -466,43 +490,8 @@ func (d *byteDec) decodeStruct(p *plan, v reflect.Value, end int, inList bool) e
 	return nil
 }
 
-// decodeTail collects the remaining list elements into the tail
-// slice. Like the reflection walker, element errors propagate without
-// field-name wrapping, and an empty tail still sets a non-nil slice.
-func (d *byteDec) decodeTail(f planField, fv reflect.Value, lend int) error {
-	if n, cntErr := CountValues(d.in[d.pos:lend]); cntErr == nil {
-		if n == 0 {
-			fv.Set(f.empty)
-			return nil
-		}
-		fv.SetZero()
-		fv.Grow(n)
-		fv.SetLen(n)
-		for i := 0; i < n; i++ {
-			if err := d.decode(f.p, fv.Index(i), lend, true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	out := reflect.MakeSlice(f.typ, 0, 4)
-	for {
-		elem := reflect.New(f.typ.Elem()).Elem()
-		err := d.decode(f.p, elem, lend, true)
-		if err == EOL {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		out = reflect.Append(out, elem)
-	}
-	fv.Set(out)
-	return nil
-}
-
 // decodeIface fills an empty interface with []byte for strings and
-// []any for lists, like Stream.decodeInterface.
+// []any for lists.
 func (d *byteDec) decodeIface(v reflect.Value, end int, inList bool) error {
 	if d.depth > maxDecodeDepth {
 		return fmt.Errorf("rlp: decode nesting exceeds %d levels", maxDecodeDepth)

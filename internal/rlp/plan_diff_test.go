@@ -9,9 +9,10 @@ import (
 )
 
 // Differential tests: the compiled-plan codec against the reflection
-// oracle. Every target decodes the same input twice (DecodeBytes with
-// plans on vs OracleDecodeBytes), requires identical outcomes and
-// values, then re-encodes both results and requires identical bytes.
+// oracle (oracle_test.go). Every target decodes the same input through
+// DecodeBytes, Stream.Decode and oracleDecodeBytes, requires identical
+// outcomes and values, then re-encodes the plan and oracle results and
+// requires identical bytes.
 // For types without custom codecs the error text must match too —
 // the plan decoder reproduces the Stream error taxonomy exactly.
 
@@ -82,15 +83,30 @@ type ifaceLike struct {
 	W []any
 }
 
-// diffDecode runs one decode through both backends and fails on any
+// diffDecode runs one decode through both codecs and fails on any
 // divergence. strictErr additionally requires identical error text
-// (custom DecodeRLP implementations run on a sub-stream in the plan
-// path, so their exotic truncation errors may differ in identity
-// while still agreeing on failure).
+// between DecodeBytes and the oracle (custom DecodeRLP
+// implementations run on a sub-stream in the plan path, so their
+// exotic truncation errors may differ in identity while still
+// agreeing on failure). Stream.Decode must agree with DecodeBytes on
+// outcome and value; its errors come from Raw for a malformed outer
+// header, so their text is not compared.
 func diffDecode(t *testing.T, data []byte, fast, oracle any, strictErr bool) bool {
 	t.Helper()
 	errF := DecodeBytes(data, fast)
-	errO := OracleDecodeBytes(data, oracle)
+	errO := oracleDecodeBytes(data, oracle)
+	streamed := reflect.New(reflect.TypeOf(fast).Elem()).Interface()
+	s := NewStream(bytes.NewReader(data), uint64(len(data)))
+	errS := s.Decode(streamed)
+	if errS == nil && s.remaining() > 0 {
+		errS = ErrMoreThanOneValue
+	}
+	if (errF == nil) != (errS == nil) {
+		t.Fatalf("Stream.Decode outcome diverged for %T\ninput: %x\nDecodeBytes:   %v\nStream.Decode: %v", fast, data, errF, errS)
+	}
+	if errS == nil && !reflect.DeepEqual(fast, streamed) {
+		t.Fatalf("Stream.Decode value diverged for %T\ninput: %x\nDecodeBytes:   %#v\nStream.Decode: %#v", fast, data, fast, streamed)
+	}
 	if (errF == nil) != (errO == nil) {
 		t.Fatalf("decode outcome diverged for %T\ninput: %x\nplan:   %v\noracle: %v", fast, data, errF, errO)
 	}
@@ -104,7 +120,7 @@ func diffDecode(t *testing.T, data []byte, fast, oracle any, strictErr bool) boo
 		t.Fatalf("decoded values diverged for %T\ninput: %x\nplan:   %#v\noracle: %#v", fast, data, fast, oracle)
 	}
 	encF, errF2 := EncodeToBytes(fast)
-	encO, errO2 := OracleEncodeToBytes(oracle)
+	encO, errO2 := oracleEncodeToBytes(oracle)
 	if (errF2 == nil) != (errO2 == nil) {
 		t.Fatalf("re-encode outcome diverged for %T: plan %v, oracle %v", fast, errF2, errO2)
 	}
@@ -117,7 +133,7 @@ func diffDecode(t *testing.T, data []byte, fast, oracle any, strictErr bool) boo
 func addOracleSeeds(f *testing.F, vals ...any) {
 	f.Helper()
 	for _, v := range vals {
-		enc, err := OracleEncodeToBytes(v)
+		enc, err := oracleEncodeToBytes(v)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -200,7 +216,7 @@ func FuzzPlanVsOracleCustom(f *testing.F) {
 }
 
 // TestPlanMatchesOracle is the deterministic core of the differential
-// suite: encode a broad table of values through both backends, then
+// suite: encode a broad table of values through both codecs, then
 // decode the canonical bytes back through both and compare.
 func TestPlanMatchesOracle(t *testing.T) {
 	u := uint64(42)
@@ -228,7 +244,7 @@ func TestPlanMatchesOracle(t *testing.T) {
 	}
 	for _, v := range vals {
 		encF, errF := EncodeToBytes(v)
-		encO, errO := OracleEncodeToBytes(v)
+		encO, errO := oracleEncodeToBytes(v)
 		if (errF == nil) != (errO == nil) {
 			t.Fatalf("encode outcome diverged for %T: plan %v, oracle %v", v, errF, errO)
 		}
@@ -250,7 +266,7 @@ func TestPlanMatchesOracle(t *testing.T) {
 
 // TestPlanErrorParity pins the decoder sentinels through the plan
 // path against hostile inputs (the same table decode_test.go checks),
-// by requiring identical error text from both backends.
+// by requiring identical error text from both codecs.
 func TestPlanErrorParity(t *testing.T) {
 	inputs := []string{
 		"", "00", "01", "8100", "817F", "81FF", "820011", "B800", "B90037", "F80102",
@@ -270,6 +286,12 @@ func TestPlanErrorParity(t *testing.T) {
 		func() (any, any) { return new(helloLike), new(helloLike) },
 		func() (any, any) { return new(RawValue), new(RawValue) },
 		func() (any, any) { return new(any), new(any) },
+		func() (any, any) { return new(*chan int), new(*chan int) },
+		func() (any, any) { return new([]chan int), new([]chan int) },
+		func() (any, any) { return new([1]chan int), new([1]chan int) },
+		func() (any, any) { return new(chanTail), new(chanTail) },
+		func() (any, any) { return new(stringerField), new(stringerField) },
+		func() (any, any) { return new(decodeOnly), new(decodeOnly) },
 	}
 	for _, hexIn := range inputs {
 		data := mustHex(hexIn)

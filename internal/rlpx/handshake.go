@@ -23,7 +23,6 @@
 package rlpx
 
 import (
-	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -122,7 +121,7 @@ func initiatorHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey, remoteID
 	}
 	h.rbuf = ackPacket
 	var ack authAckV4
-	if err := decodeHandshakeBody(ackPlain, &ack); err != nil {
+	if err := rlp.DecodeFirst(ackPlain, &ack); err != nil {
 		return nil, fmt.Errorf("%w: decoding ack: %v", ErrBadHandshake, err)
 	}
 	h.respNonce = ack.Nonce[:]
@@ -144,7 +143,7 @@ func recipientHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey) (*secret
 	}
 	h.rbuf = authPacket
 	var auth authMsgV4
-	if err := decodeHandshakeBody(authPlain, &auth); err != nil {
+	if err := rlp.DecodeFirst(authPlain, &auth); err != nil {
 		return nil, fmt.Errorf("%w: decoding auth: %v", ErrBadHandshake, err)
 	}
 	remotePub, err := secp256k1.ParsePublicKey(auth.InitiatorPK[:])
@@ -177,13 +176,6 @@ func recipientHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey) (*secret
 	}
 	h.wbuf = ackPacket
 	return h.deriveSecrets(enode.PubkeyID(remotePub))
-}
-
-// decodeHandshakeBody decodes the first RLP value of an EIP-8 body,
-// ignoring the random trailing padding that follows the list.
-func decodeHandshakeBody(plain []byte, v any) error {
-	s := rlp.NewStream(bytes.NewReader(plain), uint64(len(plain)))
-	return s.Decode(v)
 }
 
 func (h *handshakeState) makeAuthMsg(priv *secp256k1.PrivateKey) ([]byte, error) {
@@ -260,7 +252,8 @@ func randByteInt(n int) int {
 }
 
 // readHandshakeMsg reads a size-prefixed EIP-8 handshake packet and
-// decrypts it.
+// decrypts it. The plaintext is one RLP list followed by random
+// padding, so callers decode it with rlp.DecodeFirst.
 func readHandshakeMsg(r io.Reader, priv *secp256k1.PrivateKey) (packet, plain []byte, err error) {
 	prefix := make([]byte, 2)
 	if _, err := io.ReadFull(r, prefix); err != nil {
