@@ -12,9 +12,10 @@ import (
 // allocation before a single payload byte arrives. It is the static
 // twin of the 16 MiB-frame and rlp size-overflow regression tests.
 //
-// The analysis is ir.TaintAnalysis in pessimistic mode — the shared
-// wire-taint engine with sources disabled, so every value the engine
-// cannot prove bounded counts as attacker-sized:
+// The analysis reads the lint run's one ir.TaintAnalysis in
+// pessimistic mode (shared with boundedchan) — the wire-taint engine
+// with sources disabled, so every value the engine cannot prove
+// bounded counts as attacker-sized:
 //
 //   - Constants, len/cap results, and values of small fixed-width
 //     integer types (≤ 16 bits — a 2-byte prefix cannot exceed 65535)
@@ -49,10 +50,8 @@ func (b *BoundedAlloc) Doc() string {
 
 // Run implements Analyzer.
 func (b *BoundedAlloc) Run(l *Loader, pkgs []*Package) []Finding {
-	prog := l.Program(pkgs)
-	eng := &ir.TaintAnalysis{Prog: prog, Mode: ir.ModePessimistic}
 	var findings []Finding
-	for _, sink := range eng.Run() {
+	for _, sink := range l.pessimisticSinks(pkgs) {
 		if !matchesAny(sink.Fn.Pkg.Path, b.Packages) {
 			continue
 		}

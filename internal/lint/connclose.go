@@ -38,19 +38,15 @@ func (cc *ConnClose) Doc() string {
 
 // Run implements Analyzer.
 func (cc *ConnClose) Run(l *Loader, pkgs []*Package) []Finding {
-	connType, err := l.StdType("net", "Conn")
+	cm, err := l.conns(pkgs)
 	if err != nil {
-		return []Finding{{Analyzer: cc.Name(), Message: fmt.Sprintf("cannot resolve net.Conn: %v", err)}}
-	}
-	connIface, ok := connType.Underlying().(*types.Interface)
-	if !ok {
-		return []Finding{{Analyzer: cc.Name(), Message: "net.Conn is not an interface?"}}
+		return []Finding{{Analyzer: cc.Name(), Message: err.Error()}}
 	}
 	var findings []Finding
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, body := range funcBodies(file) {
-				findings = append(findings, checkConnClose(pkg, body, connIface, cc.Name())...)
+				findings = append(findings, checkConnClose(pkg, body, cm, cc.Name())...)
 			}
 		}
 	}
@@ -65,7 +61,7 @@ type acquisition struct {
 	callee string
 }
 
-func checkConnClose(pkg *Package, body *ast.BlockStmt, conn *types.Interface, analyzer string) []Finding {
+func checkConnClose(pkg *Package, body *ast.BlockStmt, conns *connModel, analyzer string) []Finding {
 	var findings []Finding
 	var acqs []acquisition
 
@@ -97,10 +93,10 @@ func checkConnClose(pkg *Package, body *ast.BlockStmt, conn *types.Interface, an
 			}
 			first = tuple.At(0).Type()
 		}
-		if !implementsConn(first, conn) {
+		if !conns.implements(first) {
 			return
 		}
-		id, ok := unparen(as.Lhs[0]).(*ast.Ident)
+		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			return
 		}
@@ -113,7 +109,7 @@ func checkConnClose(pkg *Package, body *ast.BlockStmt, conn *types.Interface, an
 		}
 		a := acquisition{obj: obj, pos: as.Pos(), callee: callee}
 		if len(as.Lhs) > 1 {
-			if errID, ok := unparen(as.Lhs[1]).(*ast.Ident); ok && errID.Name != "_" {
+			if errID, ok := ast.Unparen(as.Lhs[1]).(*ast.Ident); ok && errID.Name != "_" {
 				if eo := pkg.Info.Defs[errID]; eo != nil {
 					a.errObj = eo
 				} else {
@@ -344,7 +340,7 @@ func coveredByClose(closes []closeSite, ret returnSite) bool {
 // tracked error object, including inside || chains, which cover
 // idioms like `if err != nil || conn == nil`.
 func isErrNilCheck(pkg *Package, cond ast.Expr, errObj types.Object) bool {
-	cond = unparen(cond)
+	cond = ast.Unparen(cond)
 	be, ok := cond.(*ast.BinaryExpr)
 	if !ok {
 		return false
@@ -356,30 +352,19 @@ func isErrNilCheck(pkg *Package, cond ast.Expr, errObj types.Object) bool {
 		return false
 	}
 	matches := func(e ast.Expr) bool {
-		id, ok := unparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && pkg.Info.Uses[id] == errObj
 	}
 	isNil := func(e ast.Expr) bool {
-		id, ok := unparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
 	return (matches(be.X) && isNil(be.Y)) || (matches(be.Y) && isNil(be.X))
 }
 
-// implementsConn reports whether t is (or implements) net.Conn.
-func implementsConn(t types.Type, conn *types.Interface) bool {
-	if types.Implements(t, conn) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), conn)
-	}
-	return false
-}
-
 // calleeName extracts the called function's bare name.
 func calleeName(call *ast.CallExpr) string {
-	switch fn := unparen(call.Fun).(type) {
+	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fn.Name
 	case *ast.SelectorExpr:

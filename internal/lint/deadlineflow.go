@@ -81,48 +81,29 @@ type dfSummary struct {
 }
 
 type dflowChecker struct {
-	prog       *ir.Program
-	analyzer   string
-	packages   []string
-	connIface  *types.Interface
-	connFields map[*types.Var]bool
-	armCache   *ir.SummaryCache
-	memo       map[*ir.Func]*dfSummary
-	visiting   map[*ir.Func]bool
-	defuse     map[*ir.Func]*ir.DefUse
-	findings   []Finding
-}
-
-func (dc *dflowChecker) defUseOf(f *ir.Func) *ir.DefUse {
-	if du, ok := dc.defuse[f]; ok {
-		return du
-	}
-	du := ir.BuildDefUse(f)
-	dc.defuse[f] = du
-	return du
+	prog     *ir.Program
+	analyzer string
+	packages []string
+	conns    *connModel
+	arms     *ir.SummaryCache[*ir.Func, bool]
+	sums     *ir.SummaryCache[*ir.Func, *dfSummary]
+	findings []Finding
 }
 
 // Run implements Analyzer.
 func (d *DeadlineFlow) Run(l *Loader, pkgs []*Package) []Finding {
-	connType, err := l.StdType("net", "Conn")
+	cm, err := l.conns(pkgs)
 	if err != nil {
-		return []Finding{{Analyzer: d.Name(), Message: fmt.Sprintf("cannot resolve net.Conn: %v", err)}}
-	}
-	connIface, ok := connType.Underlying().(*types.Interface)
-	if !ok {
-		return []Finding{{Analyzer: d.Name(), Message: "net.Conn is not an interface?"}}
+		return []Finding{{Analyzer: d.Name(), Message: err.Error()}}
 	}
 	dc := &dflowChecker{
-		prog:      l.Program(pkgs),
-		analyzer:  d.Name(),
-		packages:  d.Packages,
-		connIface: connIface,
-		armCache:  ir.NewSummaryCache(),
-		memo:      make(map[*ir.Func]*dfSummary),
-		visiting:  make(map[*ir.Func]bool),
-		defuse:    make(map[*ir.Func]*ir.DefUse),
+		prog:     l.Program(pkgs),
+		analyzer: d.Name(),
+		packages: d.Packages,
+		conns:    cm,
+		arms:     ir.NewSummaryCache[*ir.Func, bool](),
+		sums:     ir.NewSummaryCache[*ir.Func, *dfSummary](),
 	}
-	dc.connFields = collectConnFields(pkgs, connIface)
 
 	// Summarize every function in the configured packages; the
 	// summary computation emits dfLocal findings as it goes, and
@@ -138,76 +119,11 @@ func (d *DeadlineFlow) Run(l *Loader, pkgs []*Package) []Finding {
 	return dc.findings
 }
 
-// collectConnFields finds struct fields of interface type that any
-// module code assigns a net.Conn-implementing value — the "wrapped
-// socket" fields like rlpx frameRW.conn through which raw I/O flows.
-func collectConnFields(pkgs []*Package, conn *types.Interface) map[*types.Var]bool {
-	fields := make(map[*types.Var]bool)
-	addIfConn := func(pkg *Package, field types.Object, val ast.Expr) {
-		v, ok := field.(*types.Var)
-		if !ok || !v.IsField() {
-			return
-		}
-		if _, isIface := v.Type().Underlying().(*types.Interface); !isIface {
-			return
-		}
-		if t := pkg.Info.TypeOf(val); t != nil && implementsConn(t, conn) {
-			fields[v] = true
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					for _, elt := range n.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						key, ok := kv.Key.(*ast.Ident)
-						if !ok {
-							continue
-						}
-						if obj := pkg.Info.Uses[key]; obj != nil {
-							addIfConn(pkg, obj, kv.Value)
-						}
-					}
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						if i >= len(n.Rhs) {
-							break
-						}
-						sel, ok := unparen(lhs).(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						if obj := pkg.Info.Uses[sel.Sel]; obj != nil {
-							addIfConn(pkg, obj, n.Rhs[i])
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return fields
-}
-
 // summarize computes (memoized) the unarmed-I/O obligations of f,
 // emitting findings for obligations that bottom out at a local dial.
+// A call-graph cycle yields no obligations.
 func (dc *dflowChecker) summarize(f *ir.Func) *dfSummary {
-	if s, ok := dc.memo[f]; ok {
-		return s
-	}
-	if dc.visiting[f] {
-		return &dfSummary{} // call-graph cycle: no obligations
-	}
-	dc.visiting[f] = true
-	s := dc.compute(f)
-	delete(dc.visiting, f)
-	dc.memo[f] = s
-	return s
+	return dc.sums.Memo(f, &dfSummary{}, func() *dfSummary { return dc.compute(f) })
 }
 
 func (dc *dflowChecker) compute(f *ir.Func) *dfSummary {
@@ -250,7 +166,11 @@ func (dc *dflowChecker) compute(f *ir.Func) *dfSummary {
 					return
 				}
 				// Direct I/O on a tainted value.
-				if target, what := dc.ioTarget(f, call); target != nil {
+				if target, op, helper := dc.conns.connIO(f.Pkg.Info, call); target != nil {
+					what := op
+					if !helper {
+						what = "conn." + op
+					}
 					if armedAt(b) {
 						return
 					}
@@ -280,7 +200,7 @@ func (dc *dflowChecker) compute(f *ir.Func) *dfSummary {
 							arg = call.Args[ob.param]
 						}
 					case dfRecv:
-						if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 							arg = sel.X
 						}
 					}
@@ -311,7 +231,7 @@ func (dc *dflowChecker) isConnWrapperMethod(f *ir.Func) bool {
 		return false
 	}
 	recv := f.Pkg.Info.TypeOf(f.Decl.Recv.List[0].Type)
-	return recv != nil && implementsConn(recv, dc.connIface)
+	return recv != nil && dc.conns.implements(recv)
 }
 
 // armedFacts solves the single-bit forward may-problem "a deadline
@@ -361,7 +281,7 @@ func (dc *dflowChecker) blockArms(f *ir.Func, b *ir.Block) bool {
 // function that (transitively) arms a deadline on a conn-ish
 // argument.
 func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
 			return true
@@ -383,7 +303,7 @@ func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool
 	connArg := false
 	for _, arg := range call.Args {
 		if t := f.Pkg.Info.TypeOf(arg); t != nil {
-			if implementsConn(t, dc.connIface) || isIOInterface(t) {
+			if dc.conns.implements(t) || isIOInterface(t) {
 				connArg = true
 				break
 			}
@@ -392,7 +312,7 @@ func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool
 	if !connArg {
 		return false
 	}
-	return dc.armCache.Memo(callee, "dflow.arms", false, func() bool {
+	return dc.arms.Memo(callee, false, func() bool {
 		for _, b := range callee.Blocks {
 			for _, s := range b.Nodes {
 				arms := false
@@ -414,91 +334,32 @@ func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool
 // style statements.
 func isCloseWatchdog(s ast.Stmt) bool {
 	found := false
-	inspectShallowIncludingLits(s, func(n ast.Node) {
+	ast.Inspect(s, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || found {
-			return
+			return !found
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "AfterFunc" {
-			return
+			return true
 		}
 		for _, arg := range call.Args {
-			lit, ok := unparen(arg).(*ast.FuncLit)
+			lit, ok := ast.Unparen(arg).(*ast.FuncLit)
 			if !ok {
 				continue
 			}
 			ast.Inspect(lit, func(m ast.Node) bool {
 				if c, ok := m.(*ast.CallExpr); ok {
-					if s2, ok := unparen(c.Fun).(*ast.SelectorExpr); ok && s2.Sel.Name == "Close" {
+					if s2, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && s2.Sel.Name == "Close" {
 						found = true
 					}
 				}
 				return !found
 			})
 		}
+		return !found
 	})
 	return found
-}
-
-// inspectShallowIncludingLits is inspectShallow but it does enter
-// function literals at the top level of the statement (needed to see
-// the AfterFunc callback's body).
-func inspectShallowIncludingLits(root ast.Node, visit func(ast.Node)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			return true
-		}
-		visit(n)
-		return true
-	})
-}
-
-// ioTarget decides whether call is a raw I/O operation on a conn-ish
-// value and returns that value's expression.
-func (dc *dflowChecker) ioTarget(f *ir.Func, call *ast.CallExpr) (ast.Expr, string) {
-	// x.Read(...) / x.Write(...) where x is conn-ish.
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		name := sel.Sel.Name
-		if name == "Read" || name == "Write" {
-			if dc.connish(f, sel.X) {
-				return sel.X, "conn." + name
-			}
-		}
-		// io.ReadFull(conn, buf) and friends.
-		if pkgID, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := f.Pkg.Info.Uses[pkgID].(*types.PkgName); ok && pn.Imported().Path() == "io" {
-				var idx int
-				switch name {
-				case "ReadFull", "ReadAtLeast", "ReadAll", "Copy", "CopyN", "WriteString":
-					if name == "Copy" || name == "CopyN" || name == "WriteString" {
-						idx = 0 // dst/src position varies; check both below
-					}
-				default:
-					return nil, ""
-				}
-				for i := idx; i < len(call.Args) && i < 2; i++ {
-					if dc.connish(f, call.Args[i]) {
-						return call.Args[i], "io." + name
-					}
-				}
-			}
-		}
-	}
-	return nil, ""
-}
-
-// connish: the expression's type implements net.Conn, or it selects a
-// known conn field.
-func (dc *dflowChecker) connish(f *ir.Func, e ast.Expr) bool {
-	e = unparen(e)
-	if sel, ok := e.(*ast.SelectorExpr); ok {
-		if v, ok := f.Pkg.Info.Uses[sel.Sel].(*types.Var); ok && dc.connFields[v] {
-			return true
-		}
-	}
-	t := f.Pkg.Info.TypeOf(e)
-	return t != nil && implementsConn(t, dc.connIface)
 }
 
 // classify traces a conn-ish expression back to its source within f:
@@ -509,7 +370,7 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 	if depth > 8 {
 		return dfSource{}, false
 	}
-	e = unparen(e)
+	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.Ident:
 		obj := f.Pkg.Info.Uses[e]
@@ -526,7 +387,7 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 			return dfSource{kind: dfParam, param: idx, pos: e.Pos(), desc: "parameter " + obj.Name()}, true
 		}
 		// Local: look at everything ever assigned to it.
-		du := dc.defUseOf(f)
+		du := dc.prog.DefUse(f)
 		if v, ok := obj.(*types.Var); ok {
 			for _, rhs := range du.AllRHS(v) {
 				if rhs == nil {
@@ -547,8 +408,8 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 	case *ast.SelectorExpr:
 		// A conn field: classify the base (receiver fields become
 		// receiver obligations).
-		if v, ok := f.Pkg.Info.Uses[e.Sel].(*types.Var); ok && dc.connFields[v] {
-			if base, ok := unparen(e.X).(*ast.Ident); ok {
+		if v, ok := f.Pkg.Info.Uses[e.Sel].(*types.Var); ok && dc.conns.fields[v] {
+			if base, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 				obj := f.Pkg.Info.Uses[base]
 				if _, isRecv, ok := paramIndex(f, obj); ok && isRecv {
 					return dfSource{kind: dfRecv, pos: e.Pos(), desc: "receiver field " + e.Sel.Name}, true
@@ -569,7 +430,7 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				val = kv.Value
 			}
-			if t := f.Pkg.Info.TypeOf(val); t == nil || (!implementsConn(t, dc.connIface) && !isIOInterface(t)) {
+			if t := f.Pkg.Info.TypeOf(val); t == nil || (!dc.conns.implements(t) && !isIOInterface(t)) {
 				continue
 			}
 			if src, ok := dc.classify(f, val, depth+1); ok {
@@ -586,35 +447,12 @@ func paramIndex(f *ir.Func, obj types.Object) (idx int, isRecv, ok bool) {
 	if obj == nil {
 		return 0, false, false
 	}
-	var ftype *ast.FuncType
-	if f.Decl != nil {
-		ftype = f.Decl.Type
-		if f.Decl.Recv != nil {
-			for _, fld := range f.Decl.Recv.List {
-				for _, name := range fld.Names {
-					if f.Pkg.Info.Defs[name] == obj {
-						return 0, true, true
-					}
-				}
-			}
-		}
-	} else if f.Lit != nil {
-		ftype = f.Lit.Type
+	if rv := ir.RecvVar(f); rv != nil && obj == rv {
+		return 0, true, true
 	}
-	if ftype == nil || ftype.Params == nil {
-		return 0, false, false
-	}
-	i := 0
-	for _, fld := range ftype.Params.List {
-		if len(fld.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range fld.Names {
-			if f.Pkg.Info.Defs[name] == obj {
-				return i, false, true
-			}
-			i++
+	for i, p := range ir.ParamVars(f) {
+		if p != nil && obj == p {
+			return i, false, true
 		}
 	}
 	return 0, false, false

@@ -255,7 +255,7 @@ func coveredCases(pkg *Package, sw *ast.SwitchStmt) (map[string]bool, bool) {
 			continue
 		}
 		for _, expr := range cc.List {
-			expr = unparen(expr)
+			expr = ast.Unparen(expr)
 			var id *ast.Ident
 			switch v := expr.(type) {
 			case *ast.Ident:
@@ -299,7 +299,7 @@ func coveredStringCases(pkg *Package, sw *ast.SwitchStmt) (map[string]bool, bool
 // calleeObject resolves the object a call expression invokes, if it
 // is a plain function or selector call.
 func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
-	switch fn := unparen(call.Fun).(type) {
+	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return pkg.Info.Uses[fn]
 	case *ast.SelectorExpr:
@@ -321,14 +321,4 @@ func typeShort(t types.Type) string {
 		return s[i+1:]
 	}
 	return s
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -54,12 +54,7 @@ func (fp *FrozenPublish) Doc() string {
 // Run implements Analyzer.
 func (fp *FrozenPublish) Run(l *Loader, pkgs []*Package) []Finding {
 	prog := l.Program(pkgs)
-	c := &frozenChecker{
-		prog: prog,
-		escs: make(map[*ir.Func]*ir.Escape),
-		doms: make(map[*ir.Func][]*ir.BitSet),
-		sums: ir.NewSummaryCache(),
-	}
+	c := &frozenChecker{prog: prog, sums: ir.NewSummaryCache[paramSummary, bool]()}
 	var findings []Finding
 	for _, f := range prog.Funcs {
 		if len(fp.Packages) > 0 && !matchesAny(f.Pkg.Path, fp.Packages) {
@@ -72,27 +67,16 @@ func (fp *FrozenPublish) Run(l *Loader, pkgs []*Package) []Finding {
 
 type frozenChecker struct {
 	prog *ir.Program
-	escs map[*ir.Func]*ir.Escape
-	doms map[*ir.Func][]*ir.BitSet
-	sums *ir.SummaryCache
+	sums *ir.SummaryCache[paramSummary, bool]
 }
 
-func (c *frozenChecker) escapeOf(f *ir.Func) *ir.Escape {
-	e, ok := c.escs[f]
-	if !ok {
-		e = ir.BuildEscape(f)
-		c.escs[f] = e
-	}
-	return e
-}
-
-func (c *frozenChecker) domOf(f *ir.Func) []*ir.BitSet {
-	d, ok := c.doms[f]
-	if !ok {
-		d = ir.Dominators(f)
-		c.doms[f] = d
-	}
-	return d
+// paramSummary keys one transitive per-parameter fact: whether the
+// callee publishes (mutates false) or mutates (mutates true) what its
+// parameter pv points to.
+type paramSummary struct {
+	callee  *ir.Func
+	pv      *types.Var
+	mutates bool
 }
 
 // stmtAt pins a block-resident statement to its CFG coordinates.
@@ -116,8 +100,8 @@ func (c *frozenChecker) checkFunc(analyzer string, f *ir.Func) []Finding {
 	if len(pubs) == 0 {
 		return nil
 	}
-	esc := c.escapeOf(f)
-	dom := c.domOf(f)
+	esc := c.prog.Escape(f)
+	dom := c.prog.Dominators(f)
 	var findings []Finding
 	for _, pub := range pubs {
 		class := make(map[*types.Var]bool)
@@ -150,7 +134,7 @@ func (c *frozenChecker) checkFunc(analyzer string, f *ir.Func) []Finding {
 // Stores, reference-valued channel sends, and calls that transitively
 // publish an argument.
 func (c *frozenChecker) publishSites(f *ir.Func) []pubSite {
-	esc := c.escapeOf(f)
+	esc := c.prog.Escape(f)
 	pkg := f.Pkg
 	var pubs []pubSite
 	for _, b := range f.Blocks {
@@ -178,7 +162,7 @@ func (c *frozenChecker) publishSites(f *ir.Func) []pubSite {
 				if arg := ir.AtomicStoreArg(pkg, call); arg != nil {
 					if roots := esc.ValueRoots(arg); len(roots) > 0 {
 						recv := "?"
-						if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 							recv = types.ExprString(sel.X)
 						}
 						pubs = append(pubs, pubSite{
@@ -222,9 +206,8 @@ func (c *frozenChecker) publishSites(f *ir.Func) []pubSite {
 // object its parameter pv points to — stores it atomically, sends it,
 // or passes it onward to a function that does.
 func (c *frozenChecker) publishesParam(callee *ir.Func, pv *types.Var) bool {
-	kind := fmt.Sprintf("frozenpublish.pub.%d", pv.Pos())
-	return c.sums.Memo(callee, kind, false, func() bool {
-		esc := c.escapeOf(callee)
+	return c.sums.Memo(paramSummary{callee: callee, pv: pv}, false, func() bool {
+		esc := c.prog.Escape(callee)
 		pkg := callee.Pkg
 		class := make(map[*types.Var]bool)
 		for _, v := range esc.AliasVars(pv) {
@@ -301,7 +284,7 @@ func (c *frozenChecker) writeHits(f *ir.Func, s ast.Stmt, class map[*types.Var]b
 	pkg := f.Pkg
 	var hits []writeHit
 	chainHit := func(expr ast.Expr, desc string) {
-		base := unparen(expr)
+		base := ast.Unparen(expr)
 		switch base.(type) {
 		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 			if root := ir.RootVar(pkg, base); root != nil && class[root] {
@@ -322,7 +305,7 @@ func (c *frozenChecker) writeHits(f *ir.Func, s ast.Stmt, class map[*types.Var]b
 		if !ok {
 			return
 		}
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
 				switch b.Name() {
 				case "delete", "clear", "copy", "append":
@@ -344,7 +327,7 @@ func (c *frozenChecker) writeHits(f *ir.Func, s ast.Stmt, class map[*types.Var]b
 		if callee == nil {
 			return
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if root := ir.RootVar(pkg, sel.X); root != nil && class[root] {
 				if rv := ir.RecvVar(callee); rv != nil && c.mutatesParam(callee, rv) {
 					hits = append(hits, writeHit{
@@ -375,9 +358,8 @@ func (c *frozenChecker) writeHits(f *ir.Func, s ast.Stmt, class map[*types.Var]b
 // mutatesParam reports whether callee (transitively) writes through
 // the object graph reachable from pv.
 func (c *frozenChecker) mutatesParam(callee *ir.Func, pv *types.Var) bool {
-	kind := fmt.Sprintf("frozenpublish.mut.%d", pv.Pos())
-	return c.sums.Memo(callee, kind, false, func() bool {
-		esc := c.escapeOf(callee)
+	return c.sums.Memo(paramSummary{callee: callee, pv: pv, mutates: true}, false, func() bool {
+		esc := c.prog.Escape(callee)
 		class := make(map[*types.Var]bool)
 		for _, v := range esc.AliasVars(pv) {
 			class[v] = true
@@ -493,7 +475,7 @@ func collectRebinds(f *ir.Func, after []stmtAt, class map[*types.Var]bool) []reb
 			continue
 		}
 		for _, lhs := range as.Lhs {
-			id, ok := unparen(lhs).(*ast.Ident)
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
 			if !ok || id.Name == "_" {
 				continue
 			}

@@ -16,6 +16,36 @@ type Program struct {
 	LitOf map[*ast.FuncLit]*Func
 	// Callers lists the resolved call sites targeting each Func.
 	Callers map[*Func][]*CallSite
+
+	// Per-function analyses, built on first use and shared by every
+	// analyzer of one run; no analyzer keeps a private copy.
+	escapes map[*Func]*Escape
+	doms    map[*Func][]*BitSet
+	defuses map[*Func]*DefUse
+}
+
+// Escape returns f's alias/escape analysis (BuildEscape), memoized.
+func (p *Program) Escape(f *Func) *Escape {
+	return memoFunc(p.escapes, f, BuildEscape)
+}
+
+// Dominators returns f's dominator sets (Dominators), memoized.
+func (p *Program) Dominators(f *Func) []*BitSet {
+	return memoFunc(p.doms, f, Dominators)
+}
+
+// DefUse returns f's reaching definitions (BuildDefUse), memoized.
+func (p *Program) DefUse(f *Func) *DefUse {
+	return memoFunc(p.defuses, f, BuildDefUse)
+}
+
+func memoFunc[V any](m map[*Func]V, f *Func, build func(*Func) V) V {
+	v, ok := m[f]
+	if !ok {
+		v = build(f)
+		m[f] = v
+	}
+	return v
 }
 
 // BuildProgram constructs CFGs for every function declaration and
@@ -27,6 +57,9 @@ func BuildProgram(pkgs []*SourcePackage) *Program {
 		FuncOf:  make(map[types.Object]*Func),
 		LitOf:   make(map[*ast.FuncLit]*Func),
 		Callers: make(map[*Func][]*CallSite),
+		escapes: make(map[*Func]*Escape),
+		doms:    make(map[*Func][]*BitSet),
+		defuses: make(map[*Func]*DefUse),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -60,7 +93,7 @@ func BuildProgram(pkgs []*SourcePackage) *Program {
 			cs.CalleeObj = CalleeOf(f.Pkg, cs.Call)
 			if cs.CalleeObj != nil {
 				cs.Callee = p.FuncOf[cs.CalleeObj]
-			} else if lit, ok := unparenExpr(cs.Call.Fun).(*ast.FuncLit); ok {
+			} else if lit, ok := ast.Unparen(cs.Call.Fun).(*ast.FuncLit); ok {
 				cs.Callee = p.LitOf[lit]
 			}
 			if cs.Callee != nil {
@@ -76,7 +109,7 @@ func BuildProgram(pkgs []*SourcePackage) *Program {
 // method expressions. Dynamic calls through function values return
 // nil.
 func CalleeOf(pkg *SourcePackage, call *ast.CallExpr) types.Object {
-	switch fun := unparenExpr(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if obj, ok := pkg.Info.Uses[fun].(*types.Func); ok {
 			return obj
@@ -98,7 +131,7 @@ func CalleeOf(pkg *SourcePackage, call *ast.CallExpr) types.Object {
 // callee object (nil for literals and dynamic values).
 func (p *Program) ResolveSpawn(pkg *SourcePackage, g *ast.GoStmt) (*Func, types.Object) {
 	call := g.Call
-	if lit, ok := unparenExpr(call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return p.LitOf[lit], nil
 	}
 	obj := CalleeOf(pkg, call)
@@ -106,14 +139,4 @@ func (p *Program) ResolveSpawn(pkg *SourcePackage, g *ast.GoStmt) (*Func, types.
 		return p.FuncOf[obj], obj
 	}
 	return nil, nil
-}
-
-func unparenExpr(e ast.Expr) ast.Expr {
-	for {
-		pe, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = pe.X
-	}
 }

@@ -230,7 +230,7 @@ func (e *Escape) flow(lhs, rhs ast.Expr, tight bool) {
 		return
 	}
 	pkg := e.f.Pkg
-	switch base := unparenExpr(lhs).(type) {
+	switch base := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if base.Name == "_" {
 			return
@@ -274,12 +274,12 @@ func (e *Escape) markIfGlobal(v *types.Var, pos token.Pos) {
 // go'd literal.
 func (e *Escape) goStmt(g *ast.GoStmt) {
 	call := g.Call
-	if lit, ok := unparenExpr(call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		for _, v := range FreeVars(e.f.Pkg, lit) {
 			e.mark(v, EscGoCapture, g.Pos())
 		}
 	}
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if v := RootVar(e.f.Pkg, sel.X); v != nil {
 			e.mark(v, EscGoArg, g.Pos())
 		}
@@ -303,7 +303,7 @@ func (e *Escape) call(c *ast.CallExpr) {
 		return
 	}
 	// Builtins and conversions move values inside the frame only.
-	if id, ok := unparenExpr(c.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
 		if _, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
 			return
 		}
@@ -311,7 +311,7 @@ func (e *Escape) call(c *ast.CallExpr) {
 	if tv, ok := pkg.Info.Types[c.Fun]; ok && tv.IsType() {
 		return
 	}
-	if sel, ok := unparenExpr(c.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
 		if v := RootVar(pkg, sel.X); v != nil {
 			e.mark(v, EscArg, c.Pos())
 		}
@@ -329,7 +329,7 @@ func (e *Escape) call(c *ast.CallExpr) {
 // return nil (fresh objects).
 func (e *Escape) ValueRoots(expr ast.Expr) []*types.Var {
 	pkg := e.f.Pkg
-	switch x := unparenExpr(expr).(type) {
+	switch x := ast.Unparen(expr).(type) {
 	case *ast.Ident:
 		if v := objVar(pkg, x); v != nil && isRefLike(pkg.Info.TypeOf(x)) {
 			return []*types.Var{v}
@@ -338,7 +338,7 @@ func (e *Escape) ValueRoots(expr ast.Expr) []*types.Var {
 		if x.Op == token.AND {
 			// &v aliases v regardless of v's own type; &T{...} reaches
 			// each reference element of the literal.
-			if cl, ok := unparenExpr(x.X).(*ast.CompositeLit); ok {
+			if cl, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
 				return e.compositeRoots(cl)
 			}
 			if v := RootVar(pkg, x.X); v != nil {
@@ -355,7 +355,7 @@ func (e *Escape) ValueRoots(expr ast.Expr) []*types.Var {
 			}
 		}
 	case *ast.CallExpr:
-		if id, ok := unparenExpr(x.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB && b.Name() == "append" {
 				var out []*types.Var
 				for _, a := range x.Args {
@@ -422,14 +422,14 @@ func (e *Escape) tunion(a, b *types.Var) {
 // allocations return nil.
 func (e *Escape) tightRoot(expr ast.Expr) *types.Var {
 	pkg := e.f.Pkg
-	switch x := unparenExpr(expr).(type) {
+	switch x := ast.Unparen(expr).(type) {
 	case *ast.Ident:
 		if v := objVar(pkg, x); v != nil && isRefLike(pkg.Info.TypeOf(x)) {
 			return v
 		}
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			if _, isLit := unparenExpr(x.X).(*ast.CompositeLit); isLit {
+			if _, isLit := ast.Unparen(x.X).(*ast.CompositeLit); isLit {
 				return nil // fresh object
 			}
 			return RootVar(pkg, x.X)
@@ -449,7 +449,7 @@ func (e *Escape) tightRoot(expr ast.Expr) *types.Var {
 			return RootVar(pkg, x.X)
 		}
 	case *ast.CallExpr:
-		if id, ok := unparenExpr(x.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB && b.Name() == "append" && len(x.Args) > 0 {
 				// append may grow in place: the result shares arg0's
 				// backing; the appended elements do not become it.
@@ -537,7 +537,7 @@ func (e *Escape) Escapes(v *types.Var) bool { return len(e.Sites(v)) > 0 }
 // call on a sync/atomic type (atomic.Value, atomic.Pointer[T], the
 // scalar wrappers), else nil.
 func AtomicStoreArg(pkg *SourcePackage, call *ast.CallExpr) ast.Expr {
-	sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Store" || len(call.Args) != 1 {
 		return nil
 	}

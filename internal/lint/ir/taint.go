@@ -35,9 +35,8 @@ import (
 // which is exactly how a guard inside a callee sanitizes every caller.
 //
 // Per-function facts (result taint, pointee effects, recorded
-// call-site arguments, sink obligations) are memoized summaries;
-// recursion through the call graph is broken with a visiting set the
-// same way SummaryCache does it, so cyclic queries see a conservative
+// call-site arguments, sink obligations) and parameter-wire answers
+// are memoized in SummaryCaches, so cyclic queries see a conservative
 // stub that is never cached.
 
 // Taint is the value lattice: Bounded < Unknown < Wire.
@@ -121,7 +120,8 @@ func wireish(v TVal) bool { return v.T == TaintWire || v.Params != 0 }
 type TaintMode uint8
 
 const (
-	// ModePessimistic is boundedalloc's contract: no content tracking
+	// ModePessimistic is the contract boundedalloc and boundedchan
+	// share (one run serves both): no content tracking
 	// (element/field reads and external results are Unknown), loops
 	// walked once, and every recorded sink whose value is not strictly
 	// bounded is a finding. This pins the original flow-sensitive
@@ -222,10 +222,6 @@ type sinkKey struct {
 	kind SinkKind
 }
 
-// taintMaxDepth bounds interprocedural recursion (cycles are broken by
-// the visiting set; the depth guard is a backstop).
-const taintMaxDepth = 64
-
 // TaintAnalysis is one engine run over a Program.
 type TaintAnalysis struct {
 	Prog *Program
@@ -243,19 +239,8 @@ type TaintAnalysis struct {
 	// exported decoder in a wire package.
 	EntryParam func(f *Func, i int, v *types.Var) (src string, ok bool)
 
-	// CallCheck, when set, replaces the pessimistic-mode default sink
-	// checks: it receives every call expression once, plus a predicate
-	// evaluating strict boundedness in the current flow state. This is
-	// how boundedchan reuses the guard/clamp tracking for channel
-	// capacities.
-	CallCheck func(f *Func, call *ast.CallExpr, bounded func(ast.Expr) bool)
-
-	facts    map[*Func]*FuncTaint
-	visiting map[*Func]bool
-	depth    int
-	escapes  map[*Func]*Escape
-	pwMemo   map[pwKey]pwResult
-	pwVis    map[pwKey]bool
+	facts *SummaryCache[*Func, *FuncTaint]
+	pw    *SummaryCache[pwKey, pwResult]
 }
 
 type pwKey struct {
@@ -271,11 +256,8 @@ type pwResult struct {
 
 func (a *TaintAnalysis) init() {
 	if a.facts == nil {
-		a.facts = make(map[*Func]*FuncTaint)
-		a.visiting = make(map[*Func]bool)
-		a.escapes = make(map[*Func]*Escape)
-		a.pwMemo = make(map[pwKey]pwResult)
-		a.pwVis = make(map[pwKey]bool)
+		a.facts = NewSummaryCache[*Func, *FuncTaint]()
+		a.pw = NewSummaryCache[pwKey, pwResult]()
 	}
 }
 
@@ -285,28 +267,7 @@ func (a *TaintAnalysis) init() {
 // later top-level query recomputes properly.
 func (a *TaintAnalysis) Facts(f *Func) *FuncTaint {
 	a.init()
-	if ft, ok := a.facts[f]; ok {
-		return ft
-	}
-	if a.visiting[f] || a.depth >= taintMaxDepth {
-		return &FuncTaint{}
-	}
-	a.visiting[f] = true
-	a.depth++
-	ft := a.compute(f)
-	a.depth--
-	delete(a.visiting, f)
-	a.facts[f] = ft
-	return ft
-}
-
-func (a *TaintAnalysis) escapeOf(f *Func) *Escape {
-	if e, ok := a.escapes[f]; ok {
-		return e
-	}
-	e := BuildEscape(f)
-	a.escapes[f] = e
-	return e
+	return a.facts.Memo(f, &FuncTaint{}, func() *FuncTaint { return a.compute(f) })
 }
 
 // Run computes facts for every function and resolves sink obligations
@@ -321,7 +282,7 @@ func (a *TaintAnalysis) Run() []TaintSink {
 	}
 	var out []TaintSink
 	for _, f := range a.Prog.Funcs {
-		ft := a.facts[f]
+		ft, _ := a.facts.Cached(f)
 		if ft == nil {
 			continue
 		}
@@ -358,23 +319,16 @@ func (a *TaintAnalysis) Run() []TaintSink {
 // returning the wire value and the sink-outward witness chain.
 func (a *TaintAnalysis) ParamWire(f *Func, idx int) (TVal, []string, bool) {
 	a.init()
-	key := pwKey{f: f, idx: idx}
-	if r, ok := a.pwMemo[key]; ok {
-		return r.val, r.chain, r.ok
-	}
-	if a.pwVis[key] {
-		return TVal{}, nil, false
-	}
-	a.pwVis[key] = true
-	val, chain, ok := a.paramWireUncached(f, idx)
-	delete(a.pwVis, key)
-	a.pwMemo[key] = pwResult{val: val, chain: chain, ok: ok}
-	return val, chain, ok
+	r := a.pw.Memo(pwKey{f: f, idx: idx}, pwResult{}, func() pwResult {
+		val, chain, ok := a.paramWireUncached(f, idx)
+		return pwResult{val: val, chain: chain, ok: ok}
+	})
+	return r.val, r.chain, r.ok
 }
 
 func (a *TaintAnalysis) paramWireUncached(f *Func, idx int) (TVal, []string, bool) {
 	for _, cs := range a.Prog.Callers[f] {
-		ft := a.facts[cs.Caller]
+		ft, _ := a.facts.Cached(cs.Caller)
 		if ft == nil {
 			continue
 		}
@@ -479,12 +433,11 @@ func (a *TaintAnalysis) compute(f *Func) *FuncTaint {
 		return ft
 	}
 	w := &taintWalker{
-		a:       a,
-		f:       f,
-		ft:      ft,
-		csOf:    make(map[*ast.CallExpr]*CallSite, len(f.Calls)),
-		pidx:    make(map[*types.Var]int),
-		checked: make(map[*ast.CallExpr]bool),
+		a:    a,
+		f:    f,
+		ft:   ft,
+		csOf: make(map[*ast.CallExpr]*CallSite, len(f.Calls)),
+		pidx: make(map[*types.Var]int),
 	}
 	for _, cs := range f.Calls {
 		w.csOf[cs.Call] = cs
@@ -599,9 +552,6 @@ type taintWalker struct {
 	// loopTaint stacks the trip-count taint of enclosing wire-bounded
 	// loops, for the spawn sink.
 	loopTaint []TVal
-
-	// checked dedupes CallCheck hook firings per call node.
-	checked map[*ast.CallExpr]bool
 }
 
 func (w *taintWalker) record(kind SinkKind, pos token.Pos, expr string, val TVal) {
@@ -623,7 +573,7 @@ func (w *taintWalker) lookup(obj types.Object, state taintState) TVal {
 	}
 	if w.a.Mode == ModeWire {
 		if tv, ok := obj.(*types.Var); ok && isRefLike(tv.Type()) {
-			esc := w.a.escapeOf(w.f)
+			esc := w.a.Prog.Escape(w.f)
 			out := UnknownVal()
 			found := false
 			for o, v := range state {
@@ -746,7 +696,7 @@ func (w *taintWalker) walkStmt(stmt ast.Stmt, state taintState) {
 		w.scan(s.Value, state)
 	case *ast.IncDecStmt:
 		w.scan(s.X, state)
-		if idx, ok := unparenExpr(s.X).(*ast.IndexExpr); ok {
+		if idx, ok := ast.Unparen(s.X).(*ast.IndexExpr); ok {
 			w.checkMapKey(idx, state)
 		}
 	case *ast.LabeledStmt:
@@ -767,7 +717,7 @@ func (w *taintWalker) addReturn(s *ast.ReturnStmt, state taintState) {
 			vals = append(vals, w.eval(r, state))
 		}
 	case len(s.Results) == 1 && w.numResults > 1:
-		if call, ok := unparenExpr(s.Results[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Results[0]).(*ast.CallExpr); ok {
 			vals = append(vals, w.evalCallExpr(call, state)...)
 		}
 	case len(s.Results) == 0:
@@ -942,7 +892,7 @@ func (w *taintWalker) loopBound(cond ast.Expr, state taintState) (TVal, ast.Expr
 	var cmps []*ast.BinaryExpr
 	var collect func(e ast.Expr)
 	collect = func(e ast.Expr) {
-		switch x := unparenExpr(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.BinaryExpr:
 			if x.Op == token.LAND {
 				collect(x.X)
@@ -1007,7 +957,7 @@ func (w *taintWalker) applyAssign(s *ast.AssignStmt, state taintState) {
 	// Multi-value from a single call (x, err := f()): resolve each
 	// result through the callee summary.
 	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		if call, ok := unparenExpr(s.Rhs[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
 			vals := w.evalCallExpr(call, state)
 			for i, lhs := range s.Lhs {
 				v := UnknownVal()
@@ -1060,7 +1010,7 @@ func (w *taintWalker) applyAssign(s *ast.AssignStmt, state taintState) {
 				delete(state, obj)
 			}
 		}
-		if idx, ok := unparenExpr(lhs).(*ast.IndexExpr); ok {
+		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 			w.checkMapKey(idx, state)
 		}
 	}
@@ -1090,7 +1040,7 @@ func (w *taintWalker) assignOne(lhs ast.Expr, val TVal, state taintState) {
 		state[obj] = val
 		return
 	}
-	if idx, ok := unparenExpr(lhs).(*ast.IndexExpr); ok {
+	if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 		w.checkMapKey(idx, state)
 	}
 	w.assignThrough(lhs, val, state)
@@ -1103,7 +1053,7 @@ func (w *taintWalker) assignThrough(lhs ast.Expr, val TVal, state taintState) {
 	if w.a.Mode != ModeWire || !wireish(val) {
 		return
 	}
-	switch unparenExpr(lhs).(type) {
+	switch ast.Unparen(lhs).(type) {
 	case *ast.IndexExpr, *ast.StarExpr, *ast.SelectorExpr:
 	default:
 		return
@@ -1124,7 +1074,7 @@ func (w *taintWalker) assignThrough(lhs ast.Expr, val TVal, state taintState) {
 }
 
 func (w *taintWalker) lhsObject(lhs ast.Expr) types.Object {
-	id, ok := unparenExpr(lhs).(*ast.Ident)
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -1171,7 +1121,7 @@ func (w *taintWalker) longLived(mapExpr ast.Expr) bool {
 	if _, ok := w.pidx[root]; ok {
 		return true
 	}
-	if _, ok := unparenExpr(mapExpr).(*ast.Ident); !ok {
+	if _, ok := ast.Unparen(mapExpr).(*ast.Ident); !ok {
 		return true // field chains: x.m, x.f.m
 	}
 	return false
@@ -1198,7 +1148,7 @@ func (w *taintWalker) scan(expr ast.Expr, state taintState) {
 
 // eval computes the taint of an expression in the current state.
 func (w *taintWalker) eval(expr ast.Expr, state taintState) TVal {
-	expr = unparenExpr(expr)
+	expr = ast.Unparen(expr)
 	if tv, ok := w.f.Pkg.Info.Types[expr]; ok {
 		// Compile-time constants are bounded by definition.
 		if tv.Value != nil {
@@ -1283,16 +1233,7 @@ func (w *taintWalker) eval(expr ast.Expr, state taintState) TVal {
 // calls resolved through summaries, and opaque externals. It returns
 // one TVal per result.
 func (w *taintWalker) evalCallExpr(call *ast.CallExpr, state taintState) []TVal {
-	// The CallCheck hook replaces the default pessimistic sink checks
-	// (boundedchan plugs its capacity rule in here), firing once per
-	// call node.
-	if w.a.CallCheck != nil && !w.checked[call] {
-		w.checked[call] = true
-		w.a.CallCheck(w.f, call, func(e ast.Expr) bool {
-			return w.eval(e, state).BoundedStrict()
-		})
-	}
-	fun := unparenExpr(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	if id, ok := fun.(*ast.Ident); ok {
 		if b, ok := w.f.Pkg.Info.Uses[id].(*types.Builtin); ok {
 			return w.evalBuiltin(b, call, state)
@@ -1372,11 +1313,10 @@ func (w *taintWalker) evalBuiltin(b *types.Builtin, call *ast.CallExpr, state ta
 }
 
 // checkMakeSinks records the allocation-size sinks of a make call:
-// slice length/capacity and map size hints (SinkAlloc), channel
-// capacities (SinkChanCap, wire mode — pessimistic capacity checking
-// belongs to boundedchan via CallCheck).
+// slice length/capacity and map size hints (SinkAlloc) and channel
+// capacities (SinkChanCap).
 func (w *taintWalker) checkMakeSinks(call *ast.CallExpr, state taintState) {
-	if w.a.CallCheck != nil || len(call.Args) < 2 {
+	if len(call.Args) < 2 {
 		return
 	}
 	tv, ok := w.f.Pkg.Info.Types[call.Args[0]]
@@ -1393,9 +1333,6 @@ func (w *taintWalker) checkMakeSinks(call *ast.CallExpr, state taintState) {
 		}
 		kind = SinkAlloc
 	case *types.Chan:
-		if w.a.Mode != ModeWire {
-			return
-		}
 		kind = SinkChanCap
 	default:
 		return
@@ -1433,7 +1370,7 @@ func (w *taintWalker) evalRealCall(call *ast.CallExpr, state taintState) []TVal 
 	}
 	var recvVal TVal
 	hasRecv := false
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isSel := pkg.Info.Selections[sel]; isSel {
 			recvVal = w.eval(sel.X, state)
 			hasRecv = true
@@ -1442,7 +1379,7 @@ func (w *taintWalker) evalRealCall(call *ast.CallExpr, state taintState) []TVal 
 	callee := CalleeOf(pkg, call)
 
 	// io.ReadAll never has a bound; pessimistic mode flags every call.
-	if w.a.Mode == ModePessimistic && w.a.CallCheck == nil && isReadAllCall(pkg, call) {
+	if w.a.Mode == ModePessimistic && isReadAllCall(pkg, call) {
 		w.record(SinkReadAll, call.Pos(), "io.ReadAll", UnknownVal())
 	}
 
@@ -1492,7 +1429,7 @@ func (w *taintWalker) evalRealCall(call *ast.CallExpr, state taintState) []TVal 
 				}
 			}
 			if sum.Effects&(1<<recvParam) != 0 && hasRecv {
-				if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 					w.taintContent(sel.X, ev, state)
 				}
 			}
@@ -1611,7 +1548,7 @@ func (w *taintWalker) callResultCount(call *ast.CallExpr) int {
 // isReadAllCall reports whether call invokes io.ReadAll (or the legacy
 // io/ioutil.ReadAll).
 func isReadAllCall(pkg *SourcePackage, call *ast.CallExpr) bool {
-	sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -1669,7 +1606,7 @@ type BoundFact struct {
 // negations hold). A comparison bounds the variable on its small side:
 // `v < cap` bounds v when true; `v > cap` bounds v when false.
 func condFacts(pkg *SourcePackage, cond ast.Expr, truth bool) []BoundFact {
-	cond = unparenExpr(cond)
+	cond = ast.Unparen(cond)
 	switch e := cond.(type) {
 	case *ast.BinaryExpr:
 		switch e.Op {
@@ -1715,10 +1652,10 @@ func boundFacts(pkg *SourcePackage, small, big ast.Expr) []BoundFact {
 // identObjects returns the object behind expr if it is a plain
 // identifier (possibly through a conversion like uint64(v)).
 func identObjects(pkg *SourcePackage, expr ast.Expr) []types.Object {
-	expr = unparenExpr(expr)
+	expr = ast.Unparen(expr)
 	if call, ok := expr.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-			expr = unparenExpr(call.Args[0])
+			expr = ast.Unparen(call.Args[0])
 		}
 	}
 	if id, ok := expr.(*ast.Ident); ok {
@@ -1747,7 +1684,7 @@ func StmtTerminates(stmt ast.Stmt) bool {
 		return s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := unparenExpr(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				return true
 			}
 		}

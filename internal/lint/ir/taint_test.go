@@ -54,7 +54,7 @@ func pong(n int) int { return ping(n) }`)
 	helper := funcByName(t, prog, "helper")
 
 	a.Facts(funcByName(t, prog, "caller1"))
-	cached, ok := a.facts[helper]
+	cached, ok := a.facts.Cached(helper)
 	if !ok || cached == nil {
 		t.Fatal("walking caller1 must compute and cache helper's summary on demand")
 	}
@@ -78,10 +78,11 @@ func pong(n int) int { return ping(n) }`)
 	if ft2 := a.Facts(ping); ft2 != ft1 {
 		t.Error("recursive function must still memoize to a single summary")
 	}
-	if a.facts[pong] == nil {
+	pongFacts, _ := a.facts.Cached(pong)
+	if pongFacts == nil {
 		t.Error("the cycle partner must end up cached too")
 	}
-	if got := a.Facts(pong); got != a.facts[pong] {
+	if got := a.Facts(pong); got != pongFacts {
 		t.Error("Facts(pong) must return the cached cycle-partner summary")
 	}
 }

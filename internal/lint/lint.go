@@ -2,7 +2,7 @@
 // repository, built only on the standard library's go/parser, go/ast,
 // and go/types (no golang.org/x/tools — the build environment is
 // offline). It enforces the repo-wide contracts the runtime test
-// suites can only check probabilistically:
+// suites can only check probabilistically, one analyzer each:
 //
 //   - boundedalloc: every wire-derived length is capped before memory
 //     is allocated for it (the bug class behind the 16 MiB-frame and
@@ -12,11 +12,29 @@
 //   - errtaxonomy: every transport sentinel error is classifiable by
 //     nodefinder's OutcomeClass, and enum-style switches are
 //     exhaustive, so no failure disappears from the census taxonomy.
-//   - locknet: no mutex is held across net.Conn I/O or blocking
-//     channel operations (the stall shape chaos tests find only by
-//     luck).
+//   - locknet: no mutex is held across conn I/O or blocking channel
+//     operations (the stall shape chaos tests find only by luck).
 //   - connclose: every net.Conn acquired from a dialer has Close
 //     reachable on all exit paths of the acquiring function.
+//   - goroutinelife: every spawned goroutine has a provable
+//     termination signal.
+//   - deadlineflow: conn I/O reachable from a dial or accept runs
+//     under a deadline.
+//   - wiresym: every RLP wire message has a shape-matching, bounded
+//     decode counterpart.
+//   - frozenpublish: nothing reachable from a published value (atomic
+//     Store, channel send) is written again.
+//   - sharedstate: state reached from more than one goroutine is
+//     mutex-guarded, atomic, or confined.
+//   - boundedchan: channel capacities are capped and sends into
+//     bounded queues have a select escape arm.
+//   - wiretaint: no peer-controlled value reaches a resource sink
+//     without a dominating clamp.
+//
+// Shared machinery exists once: the lockset walk (walkHeld, under
+// locknet and sharedstate), the conn model (connclose, deadlineflow,
+// locknet), the pessimistic taint run (boundedalloc, boundedchan),
+// and, in package ir, the summary memo and per-function IR caches.
 //
 // Findings can be suppressed with a justified inline directive:
 //

@@ -54,6 +54,14 @@ type Loader struct {
 
 	irProg *ir.Program
 	irFor  []*Package
+
+	// Per-program results shared by the analyzers of one run, each
+	// valid while its For field is the current Program.
+	pessimisticFor *ir.Program
+	pessimistic    []ir.TaintSink
+	connsFor       *ir.Program
+	connModel      *connModel
+	connErr        error
 }
 
 // Program returns the module-wide IR (CFGs + call graph) for pkgs,
@@ -85,6 +93,19 @@ func (l *Loader) Program(pkgs []*Package) *ir.Program {
 	l.irProg = ir.BuildProgram(srcs)
 	l.irFor = pkgs
 	return l.irProg
+}
+
+// pessimisticSinks returns the sinks of the one pessimistic taint run
+// over pkgs (ir.ModePessimistic): every make size, channel capacity,
+// and io.ReadAll the engine cannot prove bounded. boundedalloc and
+// boundedchan both read it, so a lint run walks the module once.
+func (l *Loader) pessimisticSinks(pkgs []*Package) []ir.TaintSink {
+	prog := l.Program(pkgs)
+	if l.pessimisticFor != prog {
+		l.pessimistic = (&ir.TaintAnalysis{Prog: prog, Mode: ir.ModePessimistic}).Run()
+		l.pessimisticFor = prog
+	}
+	return l.pessimistic
 }
 
 // NewLoader creates a loader for the module rooted at root. Cgo is

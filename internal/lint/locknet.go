@@ -14,14 +14,16 @@ import (
 // goroutine contending for that lock. TestChaosCrawl can only find
 // this shape probabilistically; the analyzer finds it by construction.
 //
-// The analysis walks each function's statements in order, tracking
+// The analysis is a callback over walkHeld, the lockset walk it
+// shares with sharedstate: each function's statements in order, with
 // the set of mutexes locked (by receiver expression). While the set
-// is non-empty it flags: Read/Write calls on values implementing
-// net.Conn, io.ReadFull/ReadAll/Copy/CopyN calls passed such a value,
-// channel sends and receives, and select statements without a default
-// clause. A deferred Unlock keeps the mutex held for the remainder of
-// the function, which is exactly the property the analyzer cares
-// about.
+// is non-empty it flags conn I/O as the conn model defines it (the
+// same connIO deadlineflow checks: Read/Write on a net.Conn or a
+// wrapped-conn field, io helpers such as ReadFull or WriteString
+// handed one), channel sends and receives, ranges over channels, and
+// select statements without a default clause. A deferred Unlock
+// keeps the mutex held for the remainder of the function, which is
+// exactly the property the analyzer cares about.
 type LockNet struct{}
 
 // Name implements Analyzer.
@@ -34,40 +36,104 @@ func (ln *LockNet) Doc() string {
 
 // Run implements Analyzer.
 func (ln *LockNet) Run(l *Loader, pkgs []*Package) []Finding {
-	connType, err := l.StdType("net", "Conn")
+	cm, err := l.conns(pkgs)
 	if err != nil {
-		return []Finding{{Analyzer: ln.Name(), Message: fmt.Sprintf("cannot resolve net.Conn: %v", err)}}
-	}
-	connIface, ok := connType.Underlying().(*types.Interface)
-	if !ok {
-		return []Finding{{Analyzer: ln.Name(), Message: "net.Conn is not an interface?"}}
+		return []Finding{{Analyzer: ln.Name(), Message: err.Error()}}
 	}
 	var findings []Finding
 	for _, pkg := range pkgs {
+		report := func(pos token.Pos, what string, held map[string]bool) {
+			findings = append(findings, Finding{
+				Pos:      pkg.Fset.Position(pos),
+				Analyzer: ln.Name(),
+				Message: fmt.Sprintf("%s while holding mutex %s: a slow peer can stall every contender on this lock",
+					what, heldNames(held)),
+			})
+		}
+		// checkBlocking flags receives and conn I/O inside an
+		// expression, not descending into function literals.
+		checkBlocking := func(expr ast.Expr, held map[string]bool) {
+			ast.Inspect(expr, func(n ast.Node) bool {
+				switch e := n.(type) {
+				case *ast.FuncLit:
+					return false
+				case *ast.UnaryExpr:
+					if e.Op == token.ARROW {
+						report(e.Pos(), "channel receive", held)
+					}
+				case *ast.CallExpr:
+					conn, op, helper := cm.connIO(pkg.Info, e)
+					switch {
+					case conn == nil:
+					case helper:
+						report(e.Pos(), fmt.Sprintf("%s on net.Conn %s", op, types.ExprString(conn)), held)
+					default:
+						report(e.Pos(), fmt.Sprintf("%s.%s on net.Conn", types.ExprString(conn), op), held)
+					}
+				}
+				return true
+			})
+		}
+		visit := func(n ast.Node, held map[string]bool, in ast.Stmt) {
+			if len(held) == 0 {
+				return
+			}
+			switch in := in.(type) {
+			case *ast.ForStmt:
+				if n == in.Post {
+					return
+				}
+			case *ast.TypeSwitchStmt:
+				return
+			case *ast.RangeStmt:
+				// Ranging over a channel blocks per iteration.
+				if t := pkg.Info.TypeOf(in.X); t != nil && isChanType(t) {
+					report(in.Pos(), "range over channel", held)
+				}
+				return
+			case *ast.SelectStmt:
+				if n == in && !selectHasDefault(in) {
+					report(in.Pos(), "blocking select", held)
+				}
+				return // comm clauses are covered by the select itself
+			}
+			switch n := n.(type) {
+			case ast.Expr:
+				checkBlocking(n, held)
+			case *ast.ExprStmt:
+				checkBlocking(n.X, held)
+			case *ast.AssignStmt:
+				for _, rhs := range n.Rhs {
+					checkBlocking(rhs, held)
+				}
+			case *ast.ReturnStmt:
+				for _, r := range n.Results {
+					checkBlocking(r, held)
+				}
+			case *ast.SendStmt:
+				report(n.Pos(), "channel send", held)
+			}
+			// A spawned goroutine does not inherit the critical
+			// section, and a deferred call other than Unlock runs after
+			// the lock is released.
+		}
 		for _, file := range pkg.Files {
 			for _, body := range funcBodies(file) {
-				w := &lockWalker{pkg: pkg, analyzer: ln.Name(), conn: connIface}
-				w.walkStmts(body.List, map[string]bool{})
-				findings = append(findings, w.findings...)
+				walkHeld(pkg.Info, body.List, map[string]bool{}, visit)
 			}
 		}
 	}
 	return findings
 }
 
-type lockWalker struct {
-	pkg      *Package
-	analyzer string
-	conn     *types.Interface
-	findings []Finding
-}
-
-func cloneHeld(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
+// selectHasDefault reports whether a select has a default clause.
+func selectHasDefault(s *ast.SelectStmt) bool {
+	for _, cc := range s.Body.List {
+		if clause, ok := cc.(*ast.CommClause); ok && clause.Comm == nil {
+			return true
+		}
 	}
-	return c
+	return false
 }
 
 // heldNames renders the held set for messages.
@@ -80,210 +146,4 @@ func heldNames(held map[string]bool) string {
 		out += k
 	}
 	return out
-}
-
-func (w *lockWalker) walkStmts(list []ast.Stmt, held map[string]bool) {
-	for _, stmt := range list {
-		w.walkStmt(stmt, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(stmt ast.Stmt, held map[string]bool) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if recv, name, ok := w.mutexOp(call); ok {
-				switch name {
-				case "Lock", "RLock":
-					held[recv] = true
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				return
-			}
-		}
-		w.checkBlocking(s.X, held)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() means the mutex stays held for the rest of
-		// the function; any blocking op that follows is inside the
-		// critical section. Other deferred calls run after the lock is
-		// released, so their bodies are not checked against this set.
-		if _, name, ok := w.mutexOp(s.Call); ok && (name == "Unlock" || name == "RUnlock") {
-			return
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			w.checkBlocking(rhs, held)
-		}
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			w.report(s.Pos(), "channel send", held)
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok && clause.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if len(held) > 0 && !hasDefault {
-			w.report(s.Pos(), "blocking select", held)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				w.walkStmts(clause.Body, cloneHeld(held))
-			}
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.checkBlocking(s.Cond, held)
-		w.walkStmts(s.Body.List, cloneHeld(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, cloneHeld(held))
-		}
-	case *ast.ForStmt:
-		inner := cloneHeld(held)
-		if s.Init != nil {
-			w.walkStmt(s.Init, inner)
-		}
-		if s.Cond != nil {
-			w.checkBlocking(s.Cond, inner)
-		}
-		w.walkStmts(s.Body.List, inner)
-	case *ast.RangeStmt:
-		inner := cloneHeld(held)
-		// Ranging over a channel blocks per iteration.
-		if tv, ok := w.pkg.Info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan && len(inner) > 0 {
-				w.report(s.Pos(), "range over channel", inner)
-			}
-		}
-		w.walkStmts(s.Body.List, inner)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkBlocking(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				w.walkStmts(clause.Body, cloneHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				w.walkStmts(clause.Body, cloneHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.checkBlocking(r, held)
-		}
-	case *ast.GoStmt:
-		// A spawned goroutine does not inherit the spawner's critical
-		// section.
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	}
-}
-
-// mutexOp reports whether call is sync.Mutex/RWMutex Lock/Unlock
-// (or RLock/RUnlock), returning the receiver's expression string.
-func (w *lockWalker) mutexOp(call *ast.CallExpr) (recv, method string, ok bool) {
-	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := w.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), name, true
-}
-
-// checkBlocking scans an expression for operations that can block on
-// a peer while a mutex is held.
-func (w *lockWalker) checkBlocking(expr ast.Expr, held map[string]bool) {
-	if expr == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		switch e := n.(type) {
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				w.report(e.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			w.checkCall(e, held)
-		}
-		return true
-	})
-}
-
-// checkCall flags conn I/O calls made while a lock is held.
-func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	fn, ok := w.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return
-	}
-	// Direct Read/Write on a net.Conn implementer.
-	if fn.Name() == "Read" || fn.Name() == "Write" {
-		if tv, ok := w.pkg.Info.Types[sel.X]; ok && w.isConn(tv.Type) {
-			w.report(call.Pos(), fmt.Sprintf("%s.%s on net.Conn", types.ExprString(sel.X), fn.Name()), held)
-			return
-		}
-	}
-	// io helpers that block on a conn argument.
-	if fn.Pkg() != nil && fn.Pkg().Path() == "io" {
-		switch fn.Name() {
-		case "ReadFull", "ReadAll", "Copy", "CopyN", "ReadAtLeast":
-			for _, arg := range call.Args {
-				if tv, ok := w.pkg.Info.Types[arg]; ok && w.isConn(tv.Type) {
-					w.report(call.Pos(), fmt.Sprintf("io.%s on net.Conn %s", fn.Name(), types.ExprString(arg)), held)
-					return
-				}
-			}
-		}
-	}
-}
-
-// isConn reports whether t (or *t) implements net.Conn.
-func (w *lockWalker) isConn(t types.Type) bool {
-	if types.Implements(t, w.conn) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		if types.Implements(types.NewPointer(t), w.conn) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalker) report(pos token.Pos, what string, held map[string]bool) {
-	w.findings = append(w.findings, Finding{
-		Pos:      w.pkg.Fset.Position(pos),
-		Analyzer: w.analyzer,
-		Message: fmt.Sprintf("%s while holding mutex %s: a slow peer can stall every contender on this lock",
-			what, heldNames(held)),
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -19,8 +20,8 @@ import (
 // compares the accesses on both sides (and between sibling goroutines
 // of the same spawner):
 //
-//   - every access must hold one common mutex (a lockset walk reusing
-//     locknet's tracking, with the lock name normalized over the
+//   - every access must hold one common mutex (walkHeld, the lockset
+//     walk locknet also runs on, with the lock name normalized over the
 //     shared root so `t.mu` in the goroutine matches `s.mu` in the
 //     spawner), or
 //   - every access must go through sync/atomic (atomic-typed fields
@@ -52,11 +53,7 @@ func (ss *SharedState) Doc() string {
 // Run implements Analyzer.
 func (ss *SharedState) Run(l *Loader, pkgs []*Package) []Finding {
 	prog := l.Program(pkgs)
-	c := &sharedChecker{
-		prog: prog,
-		escs: make(map[*ir.Func]*ir.Escape),
-		doms: make(map[*ir.Func][]*ir.BitSet),
-	}
+	c := &sharedChecker{prog: prog}
 	var findings []Finding
 	for _, f := range prog.Funcs {
 		if len(ss.Packages) > 0 && !matchesAny(f.Pkg.Path, ss.Packages) {
@@ -69,26 +66,6 @@ func (ss *SharedState) Run(l *Loader, pkgs []*Package) []Finding {
 
 type sharedChecker struct {
 	prog *ir.Program
-	escs map[*ir.Func]*ir.Escape
-	doms map[*ir.Func][]*ir.BitSet
-}
-
-func (c *sharedChecker) escapeOf(f *ir.Func) *ir.Escape {
-	e, ok := c.escs[f]
-	if !ok {
-		e = ir.BuildEscape(f)
-		c.escs[f] = e
-	}
-	return e
-}
-
-func (c *sharedChecker) domOf(f *ir.Func) []*ir.BitSet {
-	d, ok := c.doms[f]
-	if !ok {
-		d = ir.Dominators(f)
-		c.doms[f] = d
-	}
-	return d
 }
 
 // spawnInfo is one go statement with its resolved target and the
@@ -148,7 +125,6 @@ func (c *sharedChecker) checkSpawner(analyzer string, f *ir.Func) []Finding {
 // spawnsOf collects every go statement of f with its shared roots.
 func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 	pkg := f.Pkg
-	esc := c.escapeOf(f)
 	var out []spawnInfo
 	for _, b := range f.Blocks {
 		for idx, s := range b.Nodes {
@@ -160,11 +136,11 @@ func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 			spawned, _ := c.prog.ResolveSpawn(pkg, g)
 			sp.fn = spawned
 			if spawned != nil {
-				if lit, isLit := unparen(g.Call.Fun).(*ast.FuncLit); isLit {
+				if lit, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); isLit {
 					for _, v := range ir.FreeVars(pkg, lit) {
 						sp.roots = append(sp.roots, sharedRoot{spawnerVar: v, goVar: v})
 					}
-				} else if sel, isSel := unparen(g.Call.Fun).(*ast.SelectorExpr); isSel {
+				} else if sel, isSel := ast.Unparen(g.Call.Fun).(*ast.SelectorExpr); isSel {
 					if rv := ir.RecvVar(spawned); rv != nil && isRefLikeType(rv.Type()) {
 						if sv := ir.RootVar(pkg, sel.X); sv != nil {
 							sp.roots = append(sp.roots, sharedRoot{spawnerVar: sv, goVar: rv})
@@ -184,7 +160,6 @@ func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 						sp.roots = append(sp.roots, sharedRoot{spawnerVar: sv, goVar: pv})
 					}
 				}
-				_ = esc
 			}
 			out = append(out, sp)
 		}
@@ -195,9 +170,12 @@ func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 // goroutineAccesses collects every direct access to root (or an
 // alias of it) inside the spawned function's body.
 func (c *sharedChecker) goroutineAccesses(fn *ir.Func, root *types.Var, capture bool) []ssAccess {
-	esc := c.escapeOf(fn)
+	esc := c.prog.Escape(fn)
 	var accs []ssAccess
-	walkHeld(fn.Pkg, fn.Body.List, map[string]bool{}, func(node ast.Node, held map[string]bool) {
+	walkHeld(fn.Pkg.Info, fn.Body.List, map[string]bool{}, func(node ast.Node, held map[string]bool, in ast.Stmt) {
+		if node == in {
+			return // a select headline: its comm statements come separately
+		}
 		collectAccesses(fn.Pkg, node, held, esc, root, capture, func(a ssAccess) {
 			accs = append(accs, a)
 		})
@@ -210,8 +188,8 @@ func (c *sharedChecker) goroutineAccesses(fn *ir.Func, root *types.Var, capture 
 // after the go statement, minus those behind a dominating join
 // (wg.Wait or a channel receive).
 func (c *sharedChecker) spawnerAccessesAfter(f *ir.Func, sp spawnInfo, root *types.Var, capture bool) []ssAccess {
-	esc := c.escapeOf(f)
-	dom := c.domOf(f)
+	esc := c.prog.Escape(f)
+	dom := c.prog.Dominators(f)
 	after := afterStmts(f, sp.at.b, sp.at.idx)
 	afterSet := make(map[ast.Stmt]stmtAt, len(after))
 	for _, at := range after {
@@ -219,7 +197,10 @@ func (c *sharedChecker) spawnerAccessesAfter(f *ir.Func, sp spawnInfo, root *typ
 	}
 	joins := joinStmts(f, after)
 	var accs []ssAccess
-	walkHeld(f.Pkg, f.Body.List, map[string]bool{}, func(node ast.Node, held map[string]bool) {
+	walkHeld(f.Pkg.Info, f.Body.List, map[string]bool{}, func(node ast.Node, held map[string]bool, in ast.Stmt) {
+		if node == in {
+			return
+		}
 		collectAccesses(f.Pkg, node, held, esc, root, capture, func(a ssAccess) {
 			st := enclosingNarrow(f, a.pos)
 			if st == nil {
@@ -272,7 +253,7 @@ func (c *sharedChecker) judgeSiblings(analyzer string, f *ir.Func, a, b spawnInf
 	if a.fn == nil || b.fn == nil {
 		return nil
 	}
-	esc := c.escapeOf(f)
+	esc := c.prog.Escape(f)
 	var findings []Finding
 	for _, ra := range a.roots {
 		for _, rb := range b.roots {
@@ -403,7 +384,7 @@ func guarded(accs []ssAccess) bool {
 			return false
 		}
 		if common == nil {
-			common = cloneHeld(a.held)
+			common = maps.Clone(a.held)
 			continue
 		}
 		for k := range common {
@@ -420,7 +401,7 @@ func commonHeldList(accs []ssAccess) string {
 	var common map[string]bool
 	for _, a := range accs {
 		if common == nil {
-			common = cloneHeld(a.held)
+			common = maps.Clone(a.held)
 			continue
 		}
 		for k := range common {
@@ -466,7 +447,7 @@ func joinStmts(f *ir.Func, after []stmtAt) []stmtAt {
 					found = true
 				}
 			case *ast.CallExpr:
-				if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
 					if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
 						found = true
 					}
@@ -511,119 +492,6 @@ func enclosingNarrow(f *ir.Func, pos token.Pos) ast.Stmt {
 		}
 	}
 	return best
-}
-
-// walkHeld walks a statement list in source order tracking the set of
-// held mutexes exactly like locknet does (defer Unlock keeps the lock
-// held; branches run under a clone), invoking cb for every simple
-// statement and every compound-statement headline expression.
-func walkHeld(pkg *ir.SourcePackage, list []ast.Stmt, held map[string]bool, cb func(node ast.Node, held map[string]bool)) {
-	for _, stmt := range list {
-		walkHeldStmt(pkg, stmt, held, cb)
-	}
-}
-
-func walkHeldStmt(pkg *ir.SourcePackage, stmt ast.Stmt, held map[string]bool, cb func(node ast.Node, held map[string]bool)) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if recv, name, ok := syncLockOp(pkg, call); ok {
-				switch name {
-				case "Lock", "RLock":
-					held[recv] = true
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				return
-			}
-		}
-		cb(s, held)
-	case *ast.DeferStmt:
-		if _, name, ok := syncLockOp(pkg, s.Call); ok && (name == "Unlock" || name == "RUnlock") {
-			return // lock stays held for the rest of the function
-		}
-		cb(s, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			walkHeldStmt(pkg, s.Init, held, cb)
-		}
-		cb(s.Cond, held)
-		walkHeld(pkg, s.Body.List, cloneHeld(held), cb)
-		if s.Else != nil {
-			walkHeldStmt(pkg, s.Else, cloneHeld(held), cb)
-		}
-	case *ast.ForStmt:
-		inner := cloneHeld(held)
-		if s.Init != nil {
-			walkHeldStmt(pkg, s.Init, inner, cb)
-		}
-		if s.Cond != nil {
-			cb(s.Cond, inner)
-		}
-		walkHeld(pkg, s.Body.List, inner, cb)
-		if s.Post != nil {
-			walkHeldStmt(pkg, s.Post, inner, cb)
-		}
-	case *ast.RangeStmt:
-		cb(s.X, held)
-		walkHeld(pkg, s.Body.List, cloneHeld(held), cb)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			walkHeldStmt(pkg, s.Init, held, cb)
-		}
-		if s.Tag != nil {
-			cb(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				walkHeld(pkg, clause.Body, cloneHeld(held), cb)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		cb(s.Assign, held)
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				walkHeld(pkg, clause.Body, cloneHeld(held), cb)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				inner := cloneHeld(held)
-				if clause.Comm != nil {
-					walkHeldStmt(pkg, clause.Comm, inner, cb)
-				}
-				walkHeld(pkg, clause.Body, inner, cb)
-			}
-		}
-	case *ast.BlockStmt:
-		walkHeld(pkg, s.List, held, cb)
-	case *ast.LabeledStmt:
-		walkHeldStmt(pkg, s.Stmt, held, cb)
-	case nil:
-	default:
-		// Assign, Send, IncDec, Return, Decl, Go, Branch, Empty.
-		cb(s, held)
-	}
-}
-
-// syncLockOp mirrors locknet's mutexOp against an ir.SourcePackage.
-func syncLockOp(pkg *ir.SourcePackage, call *ast.CallExpr) (recv, method string, ok bool) {
-	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), name, true
 }
 
 // collectAccesses finds direct accesses to variables selected by
@@ -787,7 +655,7 @@ func writeTargets(pkg *ir.SourcePackage, node ast.Node) (selW map[*ast.SelectorE
 		if !ok {
 			return
 		}
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
 				switch b.Name() {
 				case "delete", "clear", "copy", "append":
@@ -811,7 +679,7 @@ func writeChain(expr ast.Expr) (sel *ast.SelectorExpr, id *ast.Ident, mem bool) 
 	cur := expr
 	through := false
 	for {
-		switch x := unparen(cur).(type) {
+		switch x := ast.Unparen(cur).(type) {
 		case *ast.IndexExpr:
 			cur, through = x.X, true
 		case *ast.SliceExpr:
@@ -860,7 +728,7 @@ func atomicCallRanges(pkg *ir.SourcePackage, node ast.Node) [][2]token.Pos {
 		if !ok {
 			return true
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 				out = append(out, [2]token.Pos{call.Pos(), call.End()})
 			}

@@ -78,7 +78,6 @@ type wsChecker struct {
 	packages []string
 	encodes  []wsSite
 	decodes  []wsSite
-	defuse   map[*ir.Func]*ir.DefUse
 }
 
 // Run implements Analyzer.
@@ -87,7 +86,6 @@ func (w *WireSym) Run(l *Loader, pkgs []*Package) []Finding {
 		prog:     l.Program(pkgs),
 		rlpPkg:   w.RLPPkg,
 		packages: w.Packages,
-		defuse:   make(map[*ir.Func]*ir.DefUse),
 	}
 	var findings []Finding
 	findings = append(findings, w.checkCodecPairing(pkgs)...)
@@ -136,15 +134,6 @@ func (w *WireSym) checkCodecPairing(pkgs []*Package) []Finding {
 	return findings
 }
 
-func (wc *wsChecker) defUseOf(f *ir.Func) *ir.DefUse {
-	if du, ok := wc.defuse[f]; ok {
-		return du
-	}
-	du := ir.BuildDefUse(f)
-	wc.defuse[f] = du
-	return du
-}
-
 // collectSites finds every rlp encode/decode call in the module and
 // resolves the concrete type(s) of the value argument.
 func (wc *wsChecker) collectSites() {
@@ -174,7 +163,7 @@ func (wc *wsChecker) collectSites() {
 // classifyRLPCall recognizes the codec entry points and returns which
 // argument carries the value.
 func (wc *wsChecker) classifyRLPCall(f *ir.Func, call *ast.CallExpr) (enc, dec bool, argIdx int) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false, false, 0
 	}
@@ -214,7 +203,7 @@ func (wc *wsChecker) resolveConcrete(f *ir.Func, e ast.Expr, call *ast.CallExpr,
 	if depth > 6 {
 		return nil
 	}
-	e = unparen(e)
+	e = ast.Unparen(e)
 	t := f.Pkg.Info.TypeOf(e)
 	if t != nil {
 		if _, isIface := t.Underlying().(*types.Interface); !isIface {
@@ -243,7 +232,7 @@ func (wc *wsChecker) resolveConcrete(f *ir.Func, e ast.Expr, call *ast.CallExpr,
 			return nil
 		}
 		var sites []wsSite
-		for _, rhs := range wc.defUseOf(f).AllRHS(v) {
+		for _, rhs := range wc.prog.DefUse(f).AllRHS(v) {
 			if rhs == nil || rhs == e {
 				continue
 			}
@@ -256,7 +245,7 @@ func (wc *wsChecker) resolveConcrete(f *ir.Func, e ast.Expr, call *ast.CallExpr,
 		}
 	case *ast.CallExpr:
 		// new(T) is the decode idiom; resolve to T.
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok && id.Name == "new" && len(e.Args) == 1 {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "new" && len(e.Args) == 1 {
 			if t := f.Pkg.Info.TypeOf(e.Args[0]); t != nil {
 				return []wsSite{{fn: f, typ: deref(t), pos: e.Pos(), call: call}}
 			}
@@ -500,7 +489,7 @@ func (wc *wsChecker) checkBounds(analyzer string) []Finding {
 		}
 		seen[site.call] = true
 		f := site.host
-		sel, ok := unparen(site.call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(site.call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			continue
 		}
@@ -511,7 +500,7 @@ func (wc *wsChecker) checkBounds(analyzer string) []Finding {
 		}
 		switch fn.Name() {
 		case "DecodeBytes", "DecodeFirst":
-			buf := unparen(site.call.Args[0])
+			buf := ast.Unparen(site.call.Args[0])
 			if !lenGuardBefore(f, buf, site.call.Pos()) {
 				findings = append(findings, Finding{
 					Pos:      f.Position(site.call.Pos()),
@@ -561,11 +550,11 @@ func lenGuardBefore(f *ir.Func, buf ast.Expr, pos token.Pos) bool {
 			return true
 		}
 		for _, side := range []ast.Expr{be.X, be.Y} {
-			call, ok := unparen(side).(*ast.CallExpr)
+			call, ok := ast.Unparen(side).(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
 				continue
 			}
-			if id, ok := unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
 				continue
 			}
 			if bufObj != nil && exprObject(f, call.Args[0]) == bufObj {
@@ -580,9 +569,9 @@ func lenGuardBefore(f *ir.Func, buf ast.Expr, pos token.Pos) bool {
 // exprObject resolves an expression to the object it names, when it
 // is a plain identifier (possibly sliced: buf[a:b] guards len(buf)).
 func exprObject(f *ir.Func, e ast.Expr) types.Object {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if sl, ok := e.(*ast.SliceExpr); ok {
-		e = unparen(sl.X)
+		e = ast.Unparen(sl.X)
 	}
 	id, ok := e.(*ast.Ident)
 	if !ok {
@@ -598,7 +587,7 @@ func exprObject(f *ir.Func, e ast.Expr) types.Object {
 // (limit set by the creator), or a local built by rlp.NewStream with
 // a non-zero limit argument.
 func (wc *wsChecker) streamLimited(f *ir.Func, stream ast.Expr) bool {
-	stream = unparen(stream)
+	stream = ast.Unparen(stream)
 	id, ok := stream.(*ast.Ident)
 	if !ok {
 		return true // field/complex expression: conservatively trust it
@@ -614,16 +603,16 @@ func (wc *wsChecker) streamLimited(f *ir.Func, stream ast.Expr) bool {
 	if !ok {
 		return true
 	}
-	rhss := wc.defUseOf(f).AllRHS(v)
+	rhss := wc.prog.DefUse(f).AllRHS(v)
 	for _, rhs := range rhss {
-		call, ok := unparen(rhs).(*ast.CallExpr)
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 		if !ok {
 			continue
 		}
 		if calleeName(call) != "NewStream" || len(call.Args) < 2 {
 			continue
 		}
-		limit := unparen(call.Args[1])
+		limit := ast.Unparen(call.Args[1])
 		if lit, ok := limit.(*ast.BasicLit); ok && lit.Value == "0" {
 			return false
 		}
