@@ -14,8 +14,9 @@ fmt-check:
 ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-wire bench-crawl bench-serve
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
-# plus the secp256k1 point arithmetic against its math/big oracle.
-# Each target also replays its committed regression corpus first.
+# plus the secp256k1 field, scalar and point arithmetic against
+# math/big and the math/big curve oracle. Each target also replays its
+# committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/rlp
@@ -27,6 +28,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadHello -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecodeDisconnect -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snappy
+	go test -run='^$$' -fuzz=FuzzFieldArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
+	go test -run='^$$' -fuzz=FuzzScalarArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 
 # The faultnet chaos suite: hostile peer taxonomy + the mixed

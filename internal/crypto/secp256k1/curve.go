@@ -8,7 +8,7 @@
 // handshake derives its symmetric keys from secp256k1 ECDH. Point
 // arithmetic runs on a dedicated fixed-limb field implementation
 // (field.go, scalar.go) with precomputed base-point tables and
-// wNAF/Shamir multi-scalar multiplication (table.go). The original
+// GLV-split wNAF/Straus multi-scalar multiplication (table.go). The original
 // math/big implementation lives on in oracle_test.go as the
 // differential-test reference. The arithmetic is not constant-time
 // and must not be used to protect real funds; this package exists to

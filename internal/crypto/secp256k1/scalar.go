@@ -31,6 +31,17 @@ var (
 	scNPrime  uint64
 	scNMinus2 [4]uint64
 	scHalfN   scalar
+
+	// GLV endomorphism constants, derived from N in
+	// initScalarConstants: λ, a non-trivial cube root of unity mod N;
+	// −b1 and −b2 mod N from the reduced lattice basis (a1, b1),
+	// (a2, b2) of {(x, y) : x + y·λ ≡ 0 mod N}; and the Babai rounding
+	// multipliers g1 = round(2^384·b2/N), g2 = round(2^384·(−b1)/N).
+	scLambda  scalar
+	scMinusB1 scalar
+	scMinusB2 scalar
+	scG1      [4]uint64
+	scG2      [4]uint64
 )
 
 func initScalarConstants() {
@@ -47,6 +58,82 @@ func initScalarConstants() {
 		inv *= 2 - scN.n[0]*inv
 	}
 	scNPrime = -inv
+
+	// λ is the smaller of the two non-trivial cube roots; the field
+	// side picks the β that matches it (initEndomorphism).
+	lambda, _ := cubeRootsOfUnity(N)
+	scLambda.setBig(lambda)
+	_, b1, _, b2 := glvBasis(N, lambda)
+	if b1.Sign() >= 0 || b2.Sign() <= 0 {
+		panic("secp256k1: unexpected GLV basis signs")
+	}
+	negB1 := new(big.Int).Neg(b1)
+	scMinusB1.setBig(negB1)
+	scMinusB2.setBig(new(big.Int).Sub(N, b2))
+	round384 := func(x *big.Int) [4]uint64 {
+		q := new(big.Int).Lsh(x, 384)
+		q.Add(q, halfN)
+		return limbsFromBig(q.Div(q, N))
+	}
+	scG1 = round384(b2)
+	scG2 = round384(negB1)
+}
+
+// cubeRootsOfUnity returns the two non-trivial cube roots of one
+// modulo a prime m ≡ 1 (mod 3), smaller first: g^((m−1)/3) for the
+// first g that is not a cube, and its square.
+func cubeRootsOfUnity(m *big.Int) (*big.Int, *big.Int) {
+	e := new(big.Int).Sub(m, big.NewInt(1))
+	e.Div(e, big.NewInt(3))
+	for g := int64(2); ; g++ {
+		r := new(big.Int).Exp(big.NewInt(g), e, m)
+		if r.Cmp(big.NewInt(1)) == 0 {
+			continue
+		}
+		r2 := new(big.Int).Mul(r, r)
+		r2.Mod(r2, m)
+		if r.Cmp(r2) > 0 {
+			r, r2 = r2, r
+		}
+		return r, r2
+	}
+}
+
+// glvBasis returns two short vectors (a1, b1), (a2, b2) with
+// a + b·λ ≡ 0 (mod n), from the extended Euclidean algorithm on
+// (n, λ) (Gallant–Lambert–Vanstone; Guide to ECC, Algorithm 3.74).
+// Every remainder satisfies r ≡ t·λ, so (r, −t) is in the lattice:
+// the first vector comes from the first remainder below √n, the
+// second is the shorter of its two neighbours.
+func glvBasis(n, lambda *big.Int) (a1, b1, a2, b2 *big.Int) {
+	type pair struct{ r, t *big.Int }
+	seq := []pair{{new(big.Int).Set(n), big.NewInt(0)}, {new(big.Int).Set(lambda), big.NewInt(1)}}
+	for seq[len(seq)-1].r.Sign() != 0 {
+		p, c := seq[len(seq)-2], seq[len(seq)-1]
+		q := new(big.Int).Div(p.r, c.r)
+		seq = append(seq, pair{
+			new(big.Int).Sub(p.r, new(big.Int).Mul(q, c.r)),
+			new(big.Int).Sub(p.t, new(big.Int).Mul(q, c.t)),
+		})
+	}
+	sqrtN := new(big.Int).Sqrt(n)
+	l := 0
+	for i, p := range seq {
+		if p.r.Cmp(sqrtN) >= 0 {
+			l = i
+		}
+	}
+	vec := func(p pair) (a, b *big.Int) { return p.r, new(big.Int).Neg(p.t) }
+	norm := func(p pair) *big.Int {
+		return new(big.Int).Add(new(big.Int).Mul(p.r, p.r), new(big.Int).Mul(p.t, p.t))
+	}
+	a1, b1 = vec(seq[l+1])
+	if norm(seq[l]).Cmp(norm(seq[l+2])) <= 0 {
+		a2, b2 = vec(seq[l])
+	} else {
+		a2, b2 = vec(seq[l+2])
+	}
+	return a1, b1, a2, b2
 }
 
 // setBytes loads a 32-byte big-endian value, reducing mod N. One
@@ -223,65 +310,89 @@ func (r *scalar) inverse(a *scalar) {
 	montMul(r, &acc, &scOne) // leave Montgomery form
 }
 
+// splitLambda writes k ≡ k1 + λ·k2 (mod N) with |k1|, |k2| < 2^129,
+// returning the magnitudes and whether each half is negative. It is
+// libsecp256k1's split: Babai rounding c1 = round(k·g1/2^384),
+// c2 = round(k·g2/2^384), then k2 = c1·(−b1) + c2·(−b2) and
+// k1 = k − λ·k2, all mod N; a half above N/2 stands for its negation.
+func (k *scalar) splitLambda() (k1, k2 scalar, neg1, neg2 bool) {
+	c1 := mulShift384(&k.n, &scG1)
+	c2 := mulShift384(&k.n, &scG2)
+	c1.mul(&c1, &scMinusB1)
+	c2.mul(&c2, &scMinusB2)
+	k2.add(&c1, &c2)
+	k1.mul(&k2, &scLambda)
+	k1.neg(&k1)
+	k1.add(&k1, k)
+	if neg1 = k1.isHigh(); neg1 {
+		k1.neg(&k1)
+	}
+	if neg2 = k2.isHigh(); neg2 {
+		k2.neg(&k2)
+	}
+	return k1, k2, neg1, neg2
+}
+
+// mulShift384 returns round(a·b / 2^384) for a < N and b < 2^256:
+// the top two limbs of the 512-bit product plus bit 383. The result
+// is below 2^128 + 1 and so a canonical scalar.
+func mulShift384(a, b *[4]uint64) scalar {
+	_, _, _, _, _, t5, t6, t7 := mul512(a, b)
+	lo, c := bits.Add64(t6, t5>>63, 0)
+	return scalar{n: [4]uint64{lo, t7 + c, 0, 0}}
+}
+
 // wnafWidth is the window width used for variable-base and dual
 // multiplication: odd digits in ±{1..15}, eight precomputed points.
 const wnafWidth = 5
 
-// wnaf returns the width-w non-adjacent form of s, least significant
-// digit first, with trailing zeros trimmed.
-func (s *scalar) wnaf(w uint) []int8 {
-	// A fifth limb absorbs the temporary overflow when a negative
-	// digit is added back.
-	var k [5]uint64
-	copy(k[:4], s.n[:])
-	out := make([]int8, 0, 257)
-	mask := uint64(1)<<w - 1
-	half := int64(1) << (w - 1)
-	for k[0]|k[1]|k[2]|k[3]|k[4] != 0 {
-		var d int64
-		if k[0]&1 == 1 {
-			d = int64(k[0] & mask)
-			if d > half {
-				d -= int64(1) << w
-			}
-			if d > 0 {
-				limbsSubSmall(&k, uint64(d))
-			} else {
-				limbsAddSmall(&k, uint64(-d))
-			}
+// wnafMax is the most digits wnaf produces: one per bit of a 256-bit
+// scalar plus a final carry digit.
+const wnafMax = 257
+
+// wnaf writes the width-w non-adjacent form of s into out, least
+// significant digit first, and returns the number of digits up to
+// and including the most significant non-zero one (0 for s = 0).
+// Digits past that are zero. Every non-zero digit is odd with
+// |d| < 2^(w−1), and any w consecutive digits hold at most one.
+func (s *scalar) wnaf(out *[wnafMax]int8, w uint) int {
+	*out = [wnafMax]int8{}
+	n, bitLen := 0, s.bitLen()
+	var carry uint64
+	for bit := 0; bit < bitLen || carry != 0; {
+		if s.window(bit, 1) == carry {
+			bit++ // the next bit of s plus carry is even: a zero digit
+			continue
 		}
-		out = append(out, int8(d))
-		limbsShr1(&k)
+		word := s.window(bit, w) + carry
+		carry = word >> (w - 1) & 1
+		out[bit] = int8(int64(word) - int64(carry<<w))
+		n = bit + 1
+		bit += int(w)
 	}
-	// Trim leading (most-significant) zeros so callers skip empty
-	// doubling iterations.
-	for len(out) > 0 && out[len(out)-1] == 0 {
-		out = out[:len(out)-1]
-	}
-	return out
+	return n
 }
 
-func limbsSubSmall(k *[5]uint64, v uint64) {
-	var br uint64
-	k[0], br = bits.Sub64(k[0], v, 0)
-	k[1], br = bits.Sub64(k[1], 0, br)
-	k[2], br = bits.Sub64(k[2], 0, br)
-	k[3], br = bits.Sub64(k[3], 0, br)
-	k[4], _ = bits.Sub64(k[4], 0, br)
-}
-
-func limbsAddSmall(k *[5]uint64, v uint64) {
-	var c uint64
-	k[0], c = bits.Add64(k[0], v, 0)
-	k[1], c = bits.Add64(k[1], 0, c)
-	k[2], c = bits.Add64(k[2], 0, c)
-	k[3], c = bits.Add64(k[3], 0, c)
-	k[4], _ = bits.Add64(k[4], 0, c)
-}
-
-func limbsShr1(k *[5]uint64) {
-	for i := 0; i < 4; i++ {
-		k[i] = k[i]>>1 | k[i+1]<<63
+// bitLen returns the length of s in bits.
+func (s *scalar) bitLen() int {
+	for i := 3; i >= 0; i-- {
+		if s.n[i] != 0 {
+			return i*64 + bits.Len64(s.n[i])
+		}
 	}
-	k[4] >>= 1
+	return 0
+}
+
+// window returns the w ≤ 64 bits of s starting at bit pos; bits past
+// 255 read as zero.
+func (s *scalar) window(pos int, w uint) uint64 {
+	i, sh := pos>>6, uint(pos&63)
+	if i >= 4 {
+		return 0
+	}
+	v := s.n[i] >> sh
+	if sh+w > 64 && i < 3 {
+		v |= s.n[i+1] << (64 - sh)
+	}
+	return v & (1<<w - 1)
 }

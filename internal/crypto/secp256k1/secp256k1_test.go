@@ -279,6 +279,25 @@ func TestSharedSecretAgreement(t *testing.T) {
 	}
 }
 
+var sinkJac jacPoint
+
+// TestScalarMultNoAllocs pins the variable-base and dual
+// multiplications at zero heap allocations: wNAF digits, GLV halves
+// and point tables all live on the stack.
+func TestScalarMultNoAllocs(t *testing.T) {
+	k, u := testKey(t, 48), testKey(t, 49)
+	var ks, us scalar
+	ks.setBig(k.D)
+	us.setBig(u.D)
+	p := pointToJac(&u.Pub.Point)
+	if n := testing.AllocsPerRun(20, func() { sinkJac = scalarMultJac(&p, &ks) }); n != 0 {
+		t.Errorf("scalarMultJac: %v allocs per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { sinkJac = doubleScalarMultJac(&us, &p, &ks) }); n != 0 {
+		t.Errorf("doubleScalarMultJac: %v allocs per run, want 0", n)
+	}
+}
+
 func BenchmarkSign(b *testing.B) {
 	k := testKey(b, 40)
 	hash := sha256.Sum256([]byte("bench"))
